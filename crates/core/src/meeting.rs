@@ -11,8 +11,13 @@
 //! The three transcript hashes are **two-level**: each is the fresh
 //! per-iteration inner-product hash ([`transcript_hash`]) of the
 //! transcript's persistent incremental *sketch* at the relevant prefix
-//! (see [`crate::transcript`]), so an evaluation costs `O(τ)` instead of
-//! `O(τ·|T|)`. Two prefixes hash equal iff their `sketch ∥ length` inputs
+//! (see [`crate::transcript`]). The sketch digest at every chunk boundary
+//! is fixed when the chunk is appended, so reading it is a lookup, and
+//! the three outer hashes share one draw of the iteration's `2τ` outer
+//! seed words (all three hash under the same label, so they consume the
+//! same words): preparing a message costs one `h(k)` hash, one `2τ`-word
+//! seed fill and three `O(τ)` folds, independent of `|T|`. Two prefixes
+//! hash equal iff their `sketch ∥ length` inputs
 //! agree (up to a `2^{-64}` per-pair sketch collision), and for distinct
 //! inputs the fresh outer seed gives the `2^{-τ}` per-iteration collision
 //! probability the analysis consumes — the sketch also hashes the prefix
@@ -36,15 +41,20 @@
 //! single corrupted exchange causes only bounded damage.
 
 use crate::transcript::LinkTranscript;
-use smallbias::{hash_words, SeedBits};
+use smallbias::{hash_words, hash_words_seeded, SeedBits};
 
 /// The per-iteration outer transcript hash: a fresh τ-bit inner-product
 /// hash of the 96-bit input `sketch (64 bits) ∥ prefix bit length (32
 /// bits)`. GF(2)-linear in `sketch` for a fixed seed — the property the
 /// §6.1 seed-aware oracle exploits to predict collisions.
 pub fn transcript_hash(sketch: u64, len_bits: usize, tau: u32, seed: &mut dyn SeedBits) -> u64 {
+    hash_words(&outer_input(sketch, len_bits), 96, tau, seed)
+}
+
+/// The outer hash's input words, `sketch ∥ len_bits`.
+fn outer_input(sketch: u64, len_bits: usize) -> [u64; 2] {
     debug_assert!(len_bits < (1usize << 32), "transcript length overflow");
-    hash_words(&[sketch, len_bits as u64], 96, tau, seed)
+    [sketch, len_bits as u64]
 }
 
 /// Per-link simulate/repair status (the paper's `status_{u,v}`).
@@ -254,11 +264,13 @@ impl MpState {
     }
 
     /// Start-of-phase step: advance `k`, compute the meeting points and the
-    /// outgoing message. `seed_k` seeds the `h(k)` hash; `seed_t` seeds the
-    /// three outer transcript hashes (one fresh stream per evaluation, so
-    /// cross-party prefix comparisons are meaningful). The transcript must
-    /// have a sketch backend attached; each prefix evaluation reads the
-    /// incremental sketch instead of rehashing the serialization.
+    /// outgoing message. `seed_k` is a fresh stream seeding the `h(k)`
+    /// hash; `seed_t` is a fresh stream seeding the three outer transcript
+    /// hashes. Each of the three is [`transcript_hash`] on the stream's
+    /// first `2τ` words — the same seed for every prefix, so cross-party
+    /// prefix comparisons are meaningful — so the words are drawn once.
+    /// The transcript must have a sketch backend attached; each prefix
+    /// evaluation reads the sketch instead of rehashing the serialization.
     ///
     /// # Panics
     ///
@@ -268,7 +280,7 @@ impl MpState {
         transcript: &mut LinkTranscript,
         tau: u32,
         seed_k: &mut dyn SeedBits,
-        seed_t: impl Fn() -> Box<dyn SeedBits>,
+        seed_t: &mut dyn SeedBits,
     ) -> MpMessage {
         self.k += 1;
         let ell = transcript.chunks();
@@ -276,12 +288,14 @@ impl MpState {
         let mpc1 = kt * (ell / kt);
         let mpc2 = mpc1.saturating_sub(kt);
         let h_k = hash_words(&[self.k], 64, tau, seed_k);
-        let outer = |(sketch, len): (u64, usize), seed: &mut dyn SeedBits| {
-            transcript_hash(sketch, len, tau, seed)
-        };
-        let h_full = outer(transcript.sketch_at(ell), &mut *seed_t());
-        let h_mpc1 = outer(transcript.sketch_at(mpc1), &mut *seed_t());
-        let h_mpc2 = outer(transcript.sketch_at(mpc2), &mut *seed_t());
+        let mut outer_seed = [0u64; 128];
+        let outer_seed = &mut outer_seed[..2 * tau as usize];
+        seed_t.fill_words(outer_seed);
+        let outer =
+            |(sketch, len): (u64, usize)| hash_words_seeded(&outer_input(sketch, len), outer_seed);
+        let h_full = outer(transcript.sketch_at(ell));
+        let h_mpc1 = outer(transcript.sketch_at(mpc1));
+        let h_mpc2 = outer(transcript.sketch_at(mpc2));
         MpMessage {
             h_k,
             h_full,
@@ -402,8 +416,8 @@ mod tests {
                 channel: 0,
                 slot,
             };
-            let ma = sa.prepare(a, 16, &mut *src.stream(lbl(0)), || src.stream(lbl(1)));
-            let mb = sb.prepare(b, 16, &mut *src.stream(lbl(0)), || src.stream(lbl(1)));
+            let ma = sa.prepare(a, 16, &mut *src.stream(lbl(0)), &mut *src.stream(lbl(1)));
+            let mb = sb.prepare(b, 16, &mut *src.stream(lbl(0)), &mut *src.stream(lbl(1)));
             let ra = RecvMpMessage {
                 h_k: Some(mb.h_k),
                 h_full: Some(mb.h_full),
@@ -499,7 +513,12 @@ mod tests {
             channel: 0,
             slot,
         };
-        let ma = sa.prepare(&mut a, 16, &mut *src.stream(lbl(0)), || src.stream(lbl(1)));
+        let ma = sa.prepare(
+            &mut a,
+            16,
+            &mut *src.stream(lbl(0)),
+            &mut *src.stream(lbl(1)),
+        );
         // Peer's k-hash arrives corrupted.
         let r = RecvMpMessage {
             h_k: Some(ma.h_k ^ 1),
@@ -524,10 +543,48 @@ mod tests {
             channel: 0,
             slot,
         };
-        let ma = sa.prepare(&mut a, 8, &mut *src.stream(lbl(0)), || src.stream(lbl(1)));
+        let ma = sa.prepare(
+            &mut a,
+            8,
+            &mut *src.stream(lbl(0)),
+            &mut *src.stream(lbl(1)),
+        );
         let d = sa.process(&ma, &RecvMpMessage::default(), &mut a);
         assert_eq!(d.status, LinkStatus::MeetingPoints);
         assert_eq!(a.chunks(), 5);
+    }
+
+    #[test]
+    fn prepare_outer_hashes_equal_fresh_stream_transcript_hashes() {
+        // One shared draw of the outer seed gives what three fresh streams
+        // of the same label would.
+        let src = CrsSource::new(21);
+        let lbl = |slot| SeedLabel {
+            iteration: 4,
+            channel: 0,
+            slot,
+        };
+        for tau in [1u32, 8, 33, 60] {
+            let mut t = transcript(&[Sym::One; 11]);
+            let mut st = MpState {
+                k: 3,
+                ..MpState::new()
+            };
+            let m = st.prepare(
+                &mut t,
+                tau,
+                &mut *src.stream(lbl(0)),
+                &mut *src.stream(lbl(1)),
+            );
+            assert_eq!((m.mpc1, m.mpc2), (8, 4));
+            for (chunks, got) in [(11, m.h_full), (m.mpc1, m.h_mpc1), (m.mpc2, m.h_mpc2)] {
+                let (sketch, len) = t.sketch_at(chunks);
+                let want = transcript_hash(sketch, len, tau, &mut *src.stream(lbl(1)));
+                assert_eq!(got, want, "tau {tau} prefix {chunks}");
+            }
+            let want_k = hash_words(&[4], 64, tau, &mut *src.stream(lbl(0)));
+            assert_eq!(m.h_k, want_k);
+        }
     }
 
     #[test]

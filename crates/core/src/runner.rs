@@ -445,6 +445,11 @@ impl<'w> Simulation<'w> {
         } = scratch;
         let pool = pool.as_ref().expect("pool sized above");
         let fr = frames.as_mut().expect("frames sized above");
+        // Lanes take their chunk buffers from the arena the previous run
+        // recycled them into, so a pooled scratch stops growing.
+        for lane in &mut lanes {
+            lane.inprog = arena.syms.pop().unwrap_or_default();
+        }
         let sources = self.establish_randomness(&mut net, fr, batches);
         self.attach_hashers(&mut lanes, &sources);
         let mut inst = Instrumentation::default();
@@ -770,11 +775,12 @@ impl<'w> Simulation<'w> {
                     channel: e,
                     slot,
                 };
-                lane.mp_out =
-                    lane.mp
-                        .prepare(&mut lane.t, tau, &mut *src.stream(lbl(SLOT_K)), || {
-                            src.stream(lbl(SLOT_OUTER))
-                        });
+                lane.mp_out = lane.mp.prepare(
+                    &mut lane.t,
+                    tau,
+                    &mut *src.stream(lbl(SLOT_K)),
+                    &mut *src.stream(lbl(SLOT_OUTER)),
+                );
                 if !batched {
                     lane.mp_in.clear();
                     lane.mp_in.resize(4 * tau as usize, None);
@@ -1979,6 +1985,25 @@ mod tests {
             assert_eq!(fresh.stats, reused.stats);
             assert_eq!(fresh.g_star, reused.g_star);
             assert_eq!(fresh.b_star, reused.b_star);
+        }
+    }
+
+    #[test]
+    fn scratch_arena_stops_growing_after_first_run() {
+        let w = Gossip::new(netgraph::topology::ring(8), 2, 3);
+        let cfg = SchemeConfig::algorithm_a(w.graph(), 5);
+        let sim = Simulation::new(&w, cfg, 2);
+        let mut scratch = RunScratch::new();
+        let run = |scratch: &mut RunScratch| {
+            let out = sim.run_with_scratch(Box::new(NoNoise), RunOptions::default(), scratch);
+            assert!(out.success, "{out:?}");
+        };
+        run(&mut scratch);
+        let settled = scratch.arena.syms.len();
+        assert!(settled > 0, "the run recycles its chunk buffers");
+        for _ in 0..5 {
+            run(&mut scratch);
+            assert_eq!(scratch.arena.syms.len(), settled);
         }
     }
 

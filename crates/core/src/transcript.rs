@@ -7,16 +7,27 @@
 //! is `[chunk id: 32 bits][symbols: 2 bits each]` per chunk — the embedded
 //! chunk ids are what make prefix hashes length-binding (footnote 11).
 //!
-//! Since PR 3 the per-iteration transcript hashes are **two-level**: a
-//! persistent per-link GF(2)-linear *sketch* ([`smallbias::PrefixHasher`],
+//! The per-iteration transcript hashes are **two-level**: a persistent
+//! per-link GF(2)-linear *sketch* ([`smallbias::PrefixHasher`],
 //! [`SKETCH_BITS`] wide, fixed seed per link) is extended as chunks are
 //! appended, and each iteration transmits a fresh τ-bit outer hash of
-//! `sketch ∥ bit-length` (see [`crate::MpState::prepare`]). That turns the
-//! per-iteration hashing cost from `O(|T|)` into `O(Δ)` amortized. The
-//! sketch backend is attached per run via [`LinkTranscript::attach_hasher`]
-//! — either incremental (the production path) or a recompute-from-scratch
+//! `sketch ∥ bit-length` (see [`crate::MpState::prepare`]). The sketch
+//! backend is attached per run via [`LinkTranscript::attach_hasher`] —
+//! either incremental (the production path) or a recompute-from-scratch
 //! reference ([`TranscriptHasher::reference`]) that produces bit-identical
 //! digests, used to cross-check the incremental machinery.
+//!
+//! Cost model of the incremental path, per link:
+//! * [`LinkTranscript::push`] packs the chunk id and up to 32 symbols per
+//!   word and appends whole words to both the serialization and the
+//!   sketch; the sketch holds one seed block (the τ seed words of the
+//!   input word in progress), so its memory stays `O(τ)` however long the
+//!   run, and each block is drawn once from the link's open seed stream;
+//! * every chunk boundary is a sketch checkpoint whose digest is fixed
+//!   when the chunk is pushed, so [`LinkTranscript::sketch_at`] is an
+//!   `O(1)` lookup;
+//! * [`LinkTranscript::same_as`] compares chunk boundaries and packed
+//!   serialization words, not records.
 
 use std::sync::Arc;
 
@@ -36,7 +47,8 @@ pub const SKETCH_BITS: u32 = 64;
 /// The sketch backend attached to a [`LinkTranscript`] for one run.
 #[derive(Clone)]
 pub enum TranscriptHasher {
-    /// The production path: a cached incremental fold, `O(Δ)` per append.
+    /// The production path: an incremental fold, `O(Δ)` per append and
+    /// `O(1)` per prefix read.
     Incremental(PrefixHasher),
     /// The reference path: recompute [`sketch_prefix`] from scratch on
     /// every query. Bit-identical digests, `O(|T|)` per query.
@@ -133,13 +145,9 @@ impl LinkTranscript {
         let mut hasher = hasher;
         if let TranscriptHasher::Incremental(h) = &mut hasher {
             debug_assert!(h.is_empty(), "attach expects a fresh hasher");
-            let mut from = 0usize;
-            for &b in &self.boundaries {
-                for i in from..b {
-                    h.push_bit(self.bits.bit(i));
-                }
+            for rec in &self.records {
+                serialize(rec, |value, count| h.push_bits(value, count));
                 h.mark();
-                from = b;
             }
         }
         self.hasher = Some(hasher);
@@ -180,15 +188,20 @@ impl LinkTranscript {
 
     /// Appends a chunk record.
     pub fn push(&mut self, rec: ChunkRecord) {
-        let from = self.bits.len();
-        self.bits.push_bits(rec.chunk, 32);
-        for &s in &rec.syms {
-            self.bits.push_bits(s.code(), 2);
-        }
-        if let Some(TranscriptHasher::Incremental(h)) = &mut self.hasher {
-            for i in from..self.bits.len() {
-                h.push_bit(self.bits.bit(i));
+        // Ids past 32 bits would serialize ambiguously, and `same_as`
+        // relies on the serialization determining the records.
+        debug_assert!(rec.chunk >> 32 == 0, "chunk id exceeds 32 bits");
+        let mut hasher = match &mut self.hasher {
+            Some(TranscriptHasher::Incremental(h)) => Some(h),
+            _ => None,
+        };
+        serialize(&rec, |value, count| {
+            self.bits.push_bits(value, count);
+            if let Some(h) = hasher.as_mut() {
+                h.push_bits(value, count);
             }
+        });
+        if let Some(h) = hasher {
             h.mark();
         }
         self.boundaries.push(self.bits.len());
@@ -236,10 +249,14 @@ impl LinkTranscript {
         g
     }
 
-    /// True if both transcripts are bit-identical.
+    /// True if both transcripts hold the same records.
+    ///
+    /// Compares chunk boundaries and packed serialization words: equal
+    /// boundaries give every chunk the same symbol count, and within a
+    /// chunk the 32-bit id and the 2-bit symbol codes are then read off
+    /// fixed positions, so equal words mean equal records.
     pub fn same_as(&self, other: &LinkTranscript) -> bool {
-        self.records.len() == other.records.len()
-            && self.common_prefix_chunks(other) == self.records.len()
+        self.boundaries == other.boundaries && self.bits == other.bits
     }
 
     /// Checks agreement with a reference edge transcript on its first
@@ -249,6 +266,19 @@ impl LinkTranscript {
             return false;
         }
         self.records[..chunks] == reference[..chunks]
+    }
+}
+
+/// Emits `rec`'s serialization as word-level appends: the 32-bit chunk id,
+/// then the 2-bit symbol codes packed 32 per word.
+fn serialize(rec: &ChunkRecord, mut emit: impl FnMut(u64, u32)) {
+    emit(rec.chunk, 32);
+    for group in rec.syms.chunks(32) {
+        let packed = group
+            .iter()
+            .enumerate()
+            .fold(0u64, |w, (i, s)| w | s.code() << (2 * i));
+        emit(packed, 2 * group.len() as u32);
     }
 }
 
@@ -440,5 +470,108 @@ mod tests {
         assert_eq!(sym_delta(Sym::Zero, Sym::One), 0b01);
         assert_eq!(sym_delta(Sym::Zero, Sym::Star), 0b10);
         assert_eq!(sym_delta(Sym::One, Sym::Star), 0b11);
+    }
+
+    #[test]
+    fn serialization_is_id_then_two_bit_codes() {
+        // The word-packed push must lay bits out exactly as appending the
+        // 32-bit id and then each 2-bit code would, across word edges.
+        let syms: Vec<Sym> = (0..45)
+            .map(|i| [Sym::Zero, Sym::One, Sym::Star][i % 3])
+            .collect();
+        let mut t = LinkTranscript::new();
+        t.push(rec(7, &syms[..3]));
+        t.push(rec(0xdead_beef, &syms));
+        let mut want = BitString::new();
+        for (id, part) in [(7u64, &syms[..3]), (0xdead_beef, &syms[..])] {
+            want.push_bits(id, 32);
+            for s in part {
+                want.push_bits(s.code(), 2);
+            }
+        }
+        assert_eq!(t.bits(), &want);
+    }
+
+    #[test]
+    fn same_as_needs_boundaries_not_just_bits() {
+        // 16 symbols of chunk 0 serialize to the same 64 bits as an empty
+        // chunk 0 followed by an empty chunk whose id is their packing.
+        let syms: Vec<Sym> = (0..16).map(|i| [Sym::One, Sym::Star][i % 2]).collect();
+        let packed = syms
+            .iter()
+            .enumerate()
+            .fold(0u64, |w, (i, s)| w | s.code() << (2 * i));
+        let mut a = LinkTranscript::new();
+        a.push(rec(0, &syms));
+        let mut b = LinkTranscript::new();
+        b.push(rec(0, &[]));
+        b.push(rec(packed, &[]));
+        assert_eq!(a.bits(), b.bits());
+        assert!(!a.same_as(&b));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The word-level `same_as` is record equality, for a transcript
+        /// and a randomly edited copy (symbol flips, id changes, moved
+        /// chunk boundaries, dropped or extra chunks, truncations).
+        #[test]
+        fn same_as_is_record_equality(
+            codes in proptest::collection::vec(0u64..3, 0..120),
+            cuts in proptest::collection::vec(0usize..40, 0..8),
+            edit in 0u64..7,
+            at: u64,
+        ) {
+            let sym = |c: u64| [Sym::Zero, Sym::One, Sym::Star][c as usize];
+            let syms: Vec<Sym> = codes.iter().map(|&c| sym(c)).collect();
+            // Chunk the symbols at the cut points (possibly empty chunks).
+            let mut records = Vec::new();
+            let mut from = 0;
+            for (k, &cut) in cuts.iter().enumerate() {
+                let to = (from + cut).min(syms.len());
+                records.push(rec(k as u64, &syms[from..to]));
+                from = to;
+            }
+            records.push(rec(cuts.len() as u64, &syms[from..]));
+            let mut edited = records.clone();
+            let r = at as usize % edited.len();
+            match edit {
+                0 => {}
+                1 => {
+                    if let Some(s) = edited[r].syms.get_mut(at as usize % 64) {
+                        *s = sym((s.code() + 1 + (at >> 8) % 2) % 3);
+                    }
+                }
+                2 => edited[r].chunk ^= 1 << (at % 32),
+                3 => {
+                    // Move one symbol across a chunk boundary.
+                    if r + 1 < edited.len() {
+                        if let Some(s) = edited[r].syms.pop() {
+                            edited[r + 1].syms.insert(0, s);
+                        }
+                    }
+                }
+                4 => { edited.pop(); }
+                5 => edited.push(rec(99, &[Sym::One])),
+                _ => edited.truncate(r),
+            }
+            let build = |recs: &[ChunkRecord]| {
+                let mut t = LinkTranscript::new();
+                for x in recs {
+                    t.push(x.clone());
+                }
+                t
+            };
+            let (a, b) = (build(&records), build(&edited));
+            proptest::prop_assert_eq!(a.same_as(&b), records == edited);
+            proptest::prop_assert_eq!(b.same_as(&a), records == edited);
+            // Also after a truncation brings the two back into agreement.
+            let g = a.common_prefix_chunks(&b);
+            let (mut a2, mut b2) = (a.clone(), b.clone());
+            a2.truncate(g);
+            b2.truncate(g);
+            proptest::prop_assert!(a2.same_as(&b2));
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Incremental-hashing equivalence: the cached [`PrefixHasher`] fold, the
+//! Incremental-hashing equivalence: the incremental [`PrefixHasher`] fold, the
 //! recompute-from-scratch [`sketch_prefix`] reference, and the classic
 //! [`hash_prefix`] of Definition 2.2 must all agree wherever their domains
 //! overlap — and a full coding-scheme run must be byte-identical whichever

@@ -693,7 +693,7 @@ impl<J: Job> SimService<J> {
             cache_hits: shared.cache.hits(),
             cache_misses: shared.cache.misses(),
             cache_entries: shared.cache.len() as u64,
-            queue_depth: c.depth.load(Ordering::Relaxed),
+            queue_depth: c.depth.load(Ordering::Acquire),
             queue_depth_highwater: c.depth_highwater.load(Ordering::Relaxed),
         }
     }
@@ -808,9 +808,15 @@ fn serve_one<J: Job>(
     shared: &Shared,
     parallelism: Parallelism,
 ) {
-    shared.counters.depth.fetch_sub(1, Ordering::Relaxed);
+    // Dispatch commits here: read the cancel flag *before* the depth
+    // decrement that tells clients the request left the queue. The
+    // Release decrement pairs with the Acquire load in `stats()`, so a
+    // client that sees the decremented depth and then cancels cannot
+    // affect this request.
+    let cancelled = env.cancel.load(Ordering::SeqCst);
+    shared.counters.depth.fetch_sub(1, Ordering::Release);
     let queue_ns = env.submitted.elapsed().as_nanos() as u64;
-    if env.cancel.load(Ordering::SeqCst) {
+    if cancelled {
         shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
         let _ = env.reply.send(Response {
             outcome: Outcome::Cancelled,

@@ -14,6 +14,21 @@
 //! Note the paper's footnote 11: `h(x)` and `h(x ∘ 0)` agree on the first
 //! output bit, so inputs must embed their own length/position information —
 //! our transcripts embed chunk indices for exactly this reason.
+//!
+//! # Cost model of the transcript sketch
+//!
+//! The coding scheme's hot kernel is [`PrefixHasher`], the incremental
+//! form of [`sketch_prefix`]. Its seed layout is word-interleaved: input
+//! word `j` is folded against one *seed block*, the τ words
+//! `τ·j .. τ·j + τ` of the label's stream. A hasher therefore keeps one
+//! block (the one serving the input word in progress) and the one open
+//! stream, and loads the next block sequentially when a word completes —
+//! `O(τ)` memory per link however long the run. Appends are word-level
+//! shift-ors; [`PrefixHasher::mark`] fixes the checkpoint's digest once,
+//! so [`PrefixHasher::digest_at`] is a lookup. Only a rewind into an
+//! earlier input word (or a clone) reopens the stream, jumping to the
+//! block with [`SeedBits::skip_words`]. Folding a word against its block
+//! is a 6-level butterfly parity ([`fold_word`]), not τ popcounts.
 
 use crate::seed::SeedBits;
 
@@ -36,6 +51,7 @@ use crate::seed::SeedBits;
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct BitString {
+    /// Exactly `len.div_ceil(64)` words.
     words: Vec<u64>,
     len: usize,
 }
@@ -66,14 +82,7 @@ impl BitString {
 
     /// Appends a single bit.
     pub fn push_bit(&mut self, bit: bool) {
-        let w = self.len / 64;
-        if w == self.words.len() {
-            self.words.push(0);
-        }
-        if bit {
-            self.words[w] |= 1 << (self.len % 64);
-        }
-        self.len += 1;
+        self.push_bits(u64::from(bit), 1);
     }
 
     /// Appends the low `count` bits of `value`, lowest bit first.
@@ -83,9 +92,20 @@ impl BitString {
     /// Panics if `count > 64`.
     pub fn push_bits(&mut self, value: u64, count: u32) {
         assert!(count <= 64);
-        for j in 0..count {
-            self.push_bit((value >> j) & 1 == 1);
+        if count == 0 {
+            return;
         }
+        let value = value & low_bits(count);
+        let off = self.len % 64;
+        if off == 0 {
+            self.words.push(value);
+        } else {
+            *self.words.last_mut().expect("a partial word is open") |= value << off;
+            if off + count as usize > 64 {
+                self.words.push(value >> (64 - off));
+            }
+        }
+        self.len += count as usize;
     }
 
     /// Appends all bits of `other`.
@@ -133,6 +153,12 @@ impl FromIterator<bool> for BitString {
         }
         b
     }
+}
+
+/// The low `count` bits set (`1 ≤ count ≤ 64`).
+#[inline]
+fn low_bits(count: u32) -> u64 {
+    u64::MAX >> (64 - count)
 }
 
 /// Inner-product hash of `input` with `tau` output bits, consuming
@@ -208,29 +234,48 @@ const SEED_BATCH: usize = 64;
 /// a [`BitString`] (iteration counters, sketch digests).
 ///
 /// Produces exactly `hash_prefix` of the equivalent bit string: bits
-/// beyond `len_bits` in the last word must be zero.
+/// beyond `len_bits` in the last word must be zero. For inputs of at most
+/// two words the whole `τ·⌈len_bits/64⌉`-word seed is drawn in one
+/// [`SeedBits::fill_words`] call and folded by [`hash_words_seeded`].
 ///
 /// # Panics
 ///
-/// Panics if `tau` is not in `1..=64` or `len_bits > 64 · words.len()`.
+/// Panics if `tau` is not in `1..=64`, `len_bits > 64 · words.len()` or
+/// the input is longer than `2 · SEED_BATCH` words.
 pub fn hash_words(words: &[u64], len_bits: usize, tau: u32, seed: &mut dyn SeedBits) -> u64 {
     assert!((1..=64).contains(&tau), "tau must be in 1..=64");
     assert!(len_bits <= 64 * words.len(), "len_bits beyond input");
     if len_bits == 0 {
         return 0;
     }
-    let full_words = len_bits / 64;
-    let tail_bits = len_bits % 64;
-    let mut buf = [0u64; SEED_BATCH];
-    let used = full_words + usize::from(tail_bits != 0);
-    debug_assert!(used <= SEED_BATCH, "hash_words is for short inputs");
+    let words = &words[..len_bits.div_ceil(64)];
+    let mut buf = [0u64; 2 * SEED_BATCH];
+    assert!(words.len() <= buf.len(), "hash_words is for short inputs");
+    // Whole stretches per fill: every τ ≤ 64 at inputs of ≤ 2 words.
+    let per_fill = buf.len() / words.len();
     let mut out = 0u64;
-    for t in 0..tau {
-        seed.fill_words(&mut buf[..used]);
-        let mut acc = 0u64;
-        for (w, s) in words[..used].iter().zip(&buf[..used]) {
-            acc ^= w & s;
-        }
+    for t in (0..tau as usize).step_by(per_fill) {
+        let seed_words = per_fill.min(tau as usize - t) * words.len();
+        seed.fill_words(&mut buf[..seed_words]);
+        out |= hash_words_seeded(words, &buf[..seed_words]) << t;
+    }
+    out
+}
+
+/// [`hash_words`] of all of `words` against seed words already drawn:
+/// output bit `t` is the parity of `words · seed[t·n .. t·n + n]` for
+/// `n = words.len()`, one bit per whole stretch of `seed`. Lets a caller
+/// that hashes several inputs under one seed label draw the seed once.
+///
+/// # Panics
+///
+/// Panics if `words` is empty or `seed` holds more than 64 stretches.
+pub fn hash_words_seeded(words: &[u64], seed: &[u64]) -> u64 {
+    assert!(!words.is_empty(), "empty input");
+    assert!(seed.len() / words.len() <= 64, "at most 64 output bits");
+    let mut out = 0u64;
+    for (t, stretch) in seed.chunks_exact(words.len()).enumerate() {
+        let acc = words.iter().zip(stretch).fold(0, |a, (w, s)| a ^ (w & s));
         out |= u64::from(acc.count_ones() & 1) << t;
     }
     out
@@ -245,8 +290,8 @@ pub fn hash_words(words: &[u64], len_bits: usize, tau: u32, seed: &mut dyn SeedB
 /// word `j` is folded against seed words `τ·j .. τ·j + τ`, one per output
 /// bit. The seed word serving a given `(t, j)` is therefore independent of
 /// the input length — exactly the property that lets [`PrefixHasher`]
-/// extend a cached fold as the input grows instead of rehashing `O(P)`
-/// bits per evaluation.
+/// extend its fold as the input grows instead of rehashing `O(P)` bits
+/// per evaluation.
 ///
 /// For inputs of at most 64 bits the two layouts coincide, so
 /// `sketch_prefix(x, p, τ, s) == hash_prefix(x, p, τ, s)` whenever
@@ -271,29 +316,56 @@ pub fn sketch_prefix(
     let full_words = prefix_len / 64;
     let tail_bits = prefix_len % 64;
     let words = input.words();
-    let mut buf = [0u64; 64];
+    // Words past τ stay zero, as `fold_word` requires.
+    let mut block = [0u64; 64];
     let mut acc = 0u64;
     for &w in &words[..full_words] {
-        seed.fill_words(&mut buf[..tau]);
-        acc ^= fold_word(w, &buf[..tau]);
+        seed.fill_words(&mut block[..tau]);
+        acc ^= fold_word(w, &block);
     }
     if tail_bits != 0 {
-        seed.fill_words(&mut buf[..tau]);
+        seed.fill_words(&mut block[..tau]);
         let tail = words[full_words] & ((1u64 << tail_bits) - 1);
-        acc ^= fold_word(tail, &buf[..tau]);
+        acc ^= fold_word(tail, &block);
     }
     acc
 }
 
-/// Folds one input word against its `τ` interleaved seed words: bit `t` of
-/// the result is `parity(word & seeds[t])`.
+/// Folds one input word against its seed block: bit `t` of the result is
+/// `parity(word & block[t])`. Block words past the hash width τ must be
+/// zero, which leaves result bits `≥ τ` zero.
+///
+/// A 6-level butterfly instead of 64 popcounts: level `ℓ` halves the
+/// number of words by packing two words' `2^{6-ℓ}`-bit lanes into one,
+/// each lane XOR-folded to half its width (which preserves its parity).
+/// After six levels lane `t` is the single bit `parity(word & block[t])`.
+/// Every step is a shift, mask or XOR, so the loops vectorize on baseline
+/// x86-64, which has no popcount instruction.
 #[inline]
-fn fold_word(word: u64, seeds: &[u64]) -> u64 {
-    let mut acc = 0u64;
-    for (t, &s) in seeds.iter().enumerate() {
-        acc |= u64::from((word & s).count_ones() & 1) << t;
+fn fold_word(word: u64, block: &[u64; 64]) -> u64 {
+    let mut x = [0u64; 64];
+    for (xt, &s) in x.iter_mut().zip(block) {
+        *xt = word & s;
     }
-    acc
+    fold_level(&mut x, 32, 0x0000_0000_ffff_ffff);
+    fold_level(&mut x, 16, 0x0000_ffff_0000_ffff);
+    fold_level(&mut x, 8, 0x00ff_00ff_00ff_00ff);
+    fold_level(&mut x, 4, 0x0f0f_0f0f_0f0f_0f0f);
+    fold_level(&mut x, 2, 0x3333_3333_3333_3333);
+    fold_level(&mut x, 1, 0x5555_5555_5555_5555);
+    x[0]
+}
+
+/// One butterfly level over the first `2·half` words of `x`: word `t`
+/// keeps its low lanes (mask `lo`, lanes `half` bits wide after folding)
+/// and takes word `t + half`'s lanes into the high halves.
+#[inline(always)]
+fn fold_level(x: &mut [u64; 64], half: usize, lo: u64) {
+    let sh = half as u32;
+    for t in 0..half {
+        let (a, b) = (x[t], x[t + half]);
+        x[t] = ((a ^ (a >> sh)) & lo) | ((b ^ (b << sh)) & !lo);
+    }
 }
 
 /// The seed "column" at one input bit position: bit `t` of the result is
@@ -315,9 +387,7 @@ pub fn sketch_column_pair(pos: usize, tau: u32, seed: &mut dyn SeedBits) -> (u64
     assert!((1..=64).contains(&tau), "tau must be in 1..=64");
     let tau = tau as usize;
     let mut buf = [0u64; 64];
-    for _ in 0..pos / 64 {
-        seed.fill_words(&mut buf[..tau]);
-    }
+    seed.skip_words(tau * (pos / 64));
     seed.fill_words(&mut buf[..tau]);
     let off = pos % 64;
     let mut first = 0u64;
@@ -347,12 +417,15 @@ pub fn sketch_column_pair(pos: usize, tau: u32, seed: &mut dyn SeedBits) -> (u64
 /// scheme's per-iteration transcript hashing from `O(T²)` over a run into
 /// `O(T)`.
 ///
-/// Seed words are pulled lazily from the source and cached, so the stream
-/// is read exactly once per run however many digests are taken. `mark()`
-/// records a checkpoint (the transcript layer marks every chunk
-/// boundary); `digest_at` evaluates any checkpointed prefix in `O(τ)` and
-/// `truncate_to_mark` rewinds the fold in `O(1)` — matching the rollback
-/// pattern of the meeting-points mechanism.
+/// The hasher holds one seed block — the τ words serving the input word
+/// in progress — and the label's open stream, positioned just past that
+/// block, so the stream is read once, in order, as the input grows.
+/// `mark()` records a checkpoint (the transcript layer marks every chunk
+/// boundary) together with its digest, so `digest_at` is `O(1)`;
+/// `truncate_to_mark` rewinds the fold in `O(1)`. The first append after
+/// a rewind into an earlier input word reopens the stream and skips to
+/// that word's block ([`SeedBits::skip_words`]); a clone does the same
+/// on its first block load.
 ///
 /// # Examples
 ///
@@ -372,11 +445,15 @@ pub struct PrefixHasher {
     src: std::sync::Arc<dyn crate::seed::SeedSource>,
     label: crate::seed::SeedLabel,
     tau: u32,
-    /// Open seed stream, positioned after `seed.len()` words. `None`
-    /// after a clone; reopened (and fast-forwarded) on the next pull.
+    /// Open seed stream, having yielded `stream_pos` words. `None` until
+    /// the first block load and after a clone.
     stream: Option<Box<dyn SeedBits>>,
-    /// Cached seed words in interleaved order (`τ` per input word).
-    seed: Vec<u64>,
+    stream_pos: usize,
+    /// Seed block of input word `block_word`: its τ interleaved seed
+    /// words, then zeros (as [`fold_word`] requires). Boxed so the
+    /// transcripts embedding a hasher stay compact.
+    block: Box<[u64; 64]>,
+    block_word: Option<usize>,
     /// Fold over completed input words.
     acc: u64,
     /// Bits of the in-progress input word (high bits zero).
@@ -391,6 +468,7 @@ struct Mark {
     len: usize,
     acc: u64,
     partial: u64,
+    digest: u64,
 }
 
 impl PrefixHasher {
@@ -411,7 +489,9 @@ impl PrefixHasher {
             label,
             tau,
             stream: None,
-            seed: Vec::new(),
+            stream_pos: 0,
+            block: Box::new([0; 64]),
+            block_word: None,
             acc: 0,
             partial: 0,
             len: 0,
@@ -436,17 +516,7 @@ impl PrefixHasher {
 
     /// Appends one input bit.
     pub fn push_bit(&mut self, bit: bool) {
-        if bit {
-            self.partial |= 1 << (self.len % 64);
-        }
-        self.len += 1;
-        if self.len % 64 == 0 {
-            let j = self.len / 64 - 1;
-            let word = std::mem::take(&mut self.partial);
-            let tau = self.tau as usize;
-            self.ensure_seed((j + 1) * tau);
-            self.acc ^= fold_word(word, &self.seed[j * tau..(j + 1) * tau]);
-        }
+        self.push_bits(u64::from(bit), 1);
     }
 
     /// Appends the low `count` bits of `value`, lowest bit first
@@ -457,23 +527,39 @@ impl PrefixHasher {
     /// Panics if `count > 64`.
     pub fn push_bits(&mut self, value: u64, count: u32) {
         assert!(count <= 64);
-        for j in 0..count {
-            self.push_bit((value >> j) & 1 == 1);
+        if count == 0 {
+            return;
+        }
+        let value = value & low_bits(count);
+        let off = self.len % 64;
+        self.partial |= value << off;
+        self.len += count as usize;
+        if off + count as usize >= 64 {
+            // Input word `len/64 - 1` is complete; any spill opens the next.
+            let spill = if off == 0 { 0 } else { value >> (64 - off) };
+            let word = std::mem::replace(&mut self.partial, spill);
+            self.acc ^= self.fold(self.len / 64 - 1, word);
         }
     }
 
     /// Digest of everything pushed so far (equals [`sketch_prefix`] of the
     /// same bits under the same label).
     pub fn digest(&mut self) -> u64 {
-        self.digest_of(self.len, self.acc, self.partial)
+        if self.partial == 0 {
+            return self.acc;
+        }
+        self.acc ^ self.fold(self.len / 64, self.partial)
     }
 
-    /// Records a checkpoint at the current length and returns its index.
+    /// Records a checkpoint at the current length, fixing its digest, and
+    /// returns its index.
     pub fn mark(&mut self) -> usize {
+        let digest = self.digest();
         self.marks.push(Mark {
             len: self.len,
             acc: self.acc,
             partial: self.partial,
+            digest,
         });
         self.marks.len() - 1
     }
@@ -483,14 +569,15 @@ impl PrefixHasher {
         self.marks.len()
     }
 
-    /// Digest and bit length at checkpoint `idx` (`O(τ)`).
+    /// Digest and bit length at checkpoint `idx` (`O(1)`: the digest was
+    /// fixed by [`PrefixHasher::mark`]).
     ///
     /// # Panics
     ///
     /// Panics if `idx >= self.marks()`.
     pub fn digest_at(&mut self, idx: usize) -> (u64, usize) {
         let m = self.marks[idx];
-        (self.digest_of(m.len, m.acc, m.partial), m.len)
+        (m.digest, m.len)
     }
 
     /// Rewinds the hasher to the state at checkpoint `count - 1` (or to
@@ -505,6 +592,7 @@ impl PrefixHasher {
                 len: 0,
                 acc: 0,
                 partial: 0,
+                digest: 0,
             }
         } else {
             self.marks[count - 1]
@@ -515,31 +603,29 @@ impl PrefixHasher {
         self.partial = m.partial;
     }
 
-    fn digest_of(&mut self, len: usize, acc: u64, partial: u64) -> u64 {
-        if len % 64 == 0 {
-            return acc;
-        }
-        let j = len / 64;
-        let tau = self.tau as usize;
-        self.ensure_seed((j + 1) * tau);
-        acc ^ fold_word(partial, &self.seed[j * tau..(j + 1) * tau])
+    /// `word` folded against the seed block of input word `j`.
+    fn fold(&mut self, j: usize, word: u64) -> u64 {
+        self.load_block(j);
+        fold_word(word, &self.block)
     }
 
-    fn ensure_seed(&mut self, words: usize) {
-        if self.seed.len() >= words {
+    /// Makes `block` hold the seed of input word `j`: read on from the
+    /// open stream when `j` lies ahead of it, else reopen and skip.
+    fn load_block(&mut self, j: usize) {
+        if self.block_word == Some(j) {
             return;
         }
-        let stream = self.stream.get_or_insert_with(|| {
-            // Reopened after a clone: fast-forward past the cached words.
-            let mut s = self.src.stream(self.label);
-            for _ in 0..self.seed.len() {
-                s.next_word();
-            }
-            s
-        });
-        let old = self.seed.len();
-        self.seed.resize(words, 0);
-        stream.fill_words(&mut self.seed[old..]);
+        let tau = self.tau as usize;
+        let start = j * tau;
+        if self.stream.is_none() || self.stream_pos > start {
+            self.stream = Some(self.src.stream(self.label));
+            self.stream_pos = 0;
+        }
+        let stream = self.stream.as_mut().expect("opened above");
+        stream.skip_words(start - self.stream_pos);
+        stream.fill_words(&mut self.block[..tau]);
+        self.stream_pos = start + tau;
+        self.block_word = Some(j);
     }
 }
 
@@ -550,7 +636,9 @@ impl Clone for PrefixHasher {
             label: self.label,
             tau: self.tau,
             stream: None,
-            seed: self.seed.clone(),
+            stream_pos: 0,
+            block: self.block.clone(),
+            block_word: self.block_word,
             acc: self.acc,
             partial: self.partial,
             len: self.len,
@@ -705,6 +793,8 @@ mod tests {
             (vec![0xdead_beef_u64], 37usize),
             (vec![0x0123_4567_89ab_cdef], 64),
             (vec![u64::MAX, 0xffff_ffff], 96),
+            // Three words at τ = 64 take two seed fills.
+            (vec![0x5555_aaaa_0f0f_f0f0, 7, 0x3f_ffff], 150),
             (vec![0, 0], 0),
         ] {
             let mut bits = BitString::new();
@@ -862,6 +952,164 @@ mod tests {
             let h = hash_bits(&x, tau, &mut *src.stream(label(tau)));
             if tau < 64 {
                 assert_eq!(h >> tau, 0, "tau={tau}");
+            }
+        }
+    }
+
+    /// The popcount form of [`fold_word`]: the oracle for the butterfly.
+    fn fold_word_popcount(word: u64, block: &[u64; 64]) -> u64 {
+        let mut acc = 0u64;
+        for (t, &s) in block.iter().enumerate() {
+            acc |= u64::from((word & s).count_ones() & 1) << t;
+        }
+        acc
+    }
+
+    /// `n` splitmix64 words from `seed`.
+    fn words_from(seed: u64, n: usize) -> Vec<u64> {
+        let mut s = seed;
+        (0..n).map(|_| crate::splitmix64(&mut s)).collect()
+    }
+
+    /// Both seed-source kinds, keyed by `master`, with δ-biased regions
+    /// wide enough for `max_words` words per label.
+    fn sources(master: u64, max_words: u64) -> [std::sync::Arc<dyn SeedSource>; 2] {
+        [
+            std::sync::Arc::new(CrsSource::new(master)),
+            std::sync::Arc::new(crate::DeltaBiasedSource::new(
+                master | 1,
+                master.rotate_left(32) ^ 0x5eed,
+                4,
+                16,
+                max_words,
+            )),
+        ]
+    }
+
+    #[test]
+    fn bitstrings_equal_across_append_splits() {
+        let mut a = BitString::new();
+        a.push_bits(0xabcd, 16);
+        a.push_bits(0x1234_5678_9abc, 48);
+        a.push_bits(0b101, 3);
+        // The same 67 bits re-read and appended in 17/35/15-bit pieces.
+        let mut b = BitString::new();
+        let mut at = 0;
+        for count in [17usize, 35, 15] {
+            let value = (0..count).fold(0u64, |v, j| v | u64::from(a.bit(at + j)) << j);
+            b.push_bits(value, count as u32);
+            at += count;
+        }
+        assert_eq!(b, a);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The butterfly fold equals the popcount form, at every width τ
+        /// (block words past τ zero).
+        #[test]
+        fn butterfly_fold_matches_popcount(word: u64, seed: u64, tau in 1usize..=64) {
+            let mut block = [0u64; 64];
+            block[..tau].copy_from_slice(&words_from(seed, tau));
+            let got = fold_word(word, &block);
+            proptest::prop_assert_eq!(got, fold_word_popcount(word, &block));
+            if tau < 64 {
+                proptest::prop_assert_eq!(got >> tau, 0);
+            }
+        }
+
+        /// `skip_words(n)` leaves a stream where `n` `next_word` calls
+        /// would, on both seed sources.
+        #[test]
+        fn skip_words_equals_next_word_calls(n in 0usize..300, master in 0u64..1000) {
+            for src in sources(master, 310) {
+                let mut skipped = src.stream(label(1));
+                let mut stepped = src.stream(label(1));
+                skipped.skip_words(n);
+                for _ in 0..n {
+                    stepped.next_word();
+                }
+                let mut a = [0u64; 8];
+                let mut b = [0u64; 8];
+                skipped.fill_words(&mut a);
+                stepped.fill_words(&mut b);
+                proptest::prop_assert_eq!(a, b);
+            }
+        }
+
+        /// Word-level `BitString::push_bits` equals pushing the same bits
+        /// one at a time (counts 0..=64, so appends cross and fill words).
+        #[test]
+        fn push_bits_matches_per_bit_pushes(ops in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..40)) {
+            let mut b = BitString::new();
+            let mut want = Vec::new();
+            for &op in &ops {
+                let count = (op % 65) as u32;
+                let value = op.rotate_left(17) ^ op;
+                b.push_bits(value, count);
+                want.extend((0..count).map(|j| value >> j & 1 == 1));
+            }
+            proptest::prop_assert_eq!(b.len(), want.len());
+            proptest::prop_assert_eq!(b.words().len(), want.len().div_ceil(64));
+            for (i, &bit) in want.iter().enumerate() {
+                proptest::prop_assert_eq!(b.bit(i), bit);
+            }
+            if want.len() % 64 != 0 {
+                proptest::prop_assert_eq!(b.words()[want.len() / 64] >> (want.len() % 64), 0);
+            }
+        }
+
+        /// A `PrefixHasher` driven by random appends (counts 0..=64,
+        /// word-crossing and exactly-64), marks, rewinds (also into earlier
+        /// words) and clones equals `sketch_prefix` at every mark, under a
+        /// CRS and a δ-biased source.
+        #[test]
+        fn prefix_hasher_matches_reference_under_random_ops(
+            ops in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..48),
+            tau in 1u32..=64,
+            master in 0u64..1000,
+        ) {
+            for src in sources(master, 64 * 50) {
+                let l = label(5);
+                let mut h = PrefixHasher::new(std::sync::Arc::clone(&src), l, tau);
+                let mut bits = BitString::new();
+                let mut marks: Vec<usize> = Vec::new();
+                for &op in &ops {
+                    match op % 8 {
+                        0..=3 => {
+                            let count = match (op >> 3) % 4 {
+                                0 => 64,
+                                _ => ((op >> 5) % 65) as u32,
+                            };
+                            let value = op.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                            h.push_bits(value, count);
+                            bits.push_bits(value, count);
+                        }
+                        4 | 5 => {
+                            proptest::prop_assert_eq!(h.mark(), marks.len());
+                            marks.push(bits.len());
+                            let reference = sketch_prefix(&bits, bits.len(), tau, &mut *src.stream(l));
+                            proptest::prop_assert_eq!(h.digest_at(marks.len() - 1), (reference, bits.len()));
+                        }
+                        6 => {
+                            let keep = (op >> 3) as usize % (marks.len() + 1);
+                            h.truncate_to_mark(keep);
+                            marks.truncate(keep);
+                            bits.truncate(marks.last().copied().unwrap_or(0));
+                        }
+                        _ => h = h.clone(),
+                    }
+                    proptest::prop_assert_eq!(h.len(), bits.len());
+                }
+                for (k, &len) in marks.iter().enumerate() {
+                    let reference = sketch_prefix(&bits, len, tau, &mut *src.stream(l));
+                    proptest::prop_assert_eq!(h.digest_at(k), (reference, len));
+                }
+                proptest::prop_assert_eq!(
+                    h.digest(),
+                    sketch_prefix(&bits, bits.len(), tau, &mut *src.stream(l))
+                );
             }
         }
     }

@@ -20,8 +20,8 @@ mod seed;
 
 pub use aghp::AghpGenerator;
 pub use hash::{
-    hash_bits, hash_prefix, hash_words, sketch_column, sketch_column_pair, sketch_prefix,
-    BitString, PrefixHasher,
+    hash_bits, hash_prefix, hash_words, hash_words_seeded, sketch_column, sketch_column_pair,
+    sketch_prefix, BitString, PrefixHasher,
 };
 pub use rng::{splitmix64, Xoshiro256};
 pub use seed::{CrsSource, DeltaBiasedSource, SeedBits, SeedLabel, SeedSource};

@@ -45,6 +45,21 @@ pub trait SeedBits: Send {
             *w = self.next_word();
         }
     }
+
+    /// Advances the stream past its next `n` words.
+    ///
+    /// Semantically identical to `n` calls of [`SeedBits::next_word`]
+    /// with the results discarded; streams with random access override
+    /// it to jump instead of generating the skipped words.
+    fn skip_words(&mut self, n: usize) {
+        let mut sink = [0u64; 64];
+        let mut left = n;
+        while left > 0 {
+            let take = left.min(sink.len());
+            self.fill_words(&mut sink[..take]);
+            left -= take;
+        }
+    }
 }
 
 /// A source of per-label seed streams shared by two (or all) parties.
@@ -166,6 +181,17 @@ impl SeedBits for AghpStream {
         let w = self.gen.word_at(self.next_bit);
         self.next_bit += 64;
         w
+    }
+
+    /// Positional jump: generating a skipped word costs 64 GF(2^64)
+    /// multiplications, the jump one `pow` on the next read.
+    fn skip_words(&mut self, n: usize) {
+        let bits = 64 * n as u64;
+        assert!(
+            self.next_bit + bits <= self.end_bit,
+            "label exhausted its δ-biased region; increase region_words"
+        );
+        self.next_bit += bits;
     }
 }
 

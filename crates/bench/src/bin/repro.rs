@@ -1,7 +1,8 @@
-//! Tiered reproduction driver: one command that regenerates the repo's
-//! figure-style results as a **versioned artifact** (the ruler artifact's
+//! The reproduction driver: one command that regenerates every table and
+//! figure of the repo as a **versioned artifact** (the ruler artifact's
 //! `kick-tires`/`lite`/`full` tiering, with the ingest→process→render
-//! pipeline documented in EXPERIMENTS.md).
+//! pipeline documented in EXPERIMENTS.md), plus the open-loop load
+//! driver for the serving layer.
 //!
 //! ```text
 //! cargo run --release -p bench --bin repro -- run --quick        # CI-sized, < 60 s
@@ -9,44 +10,50 @@
 //! cargo run --release -p bench --bin repro -- run --full        # hours
 //! cargo run --release -p bench --bin repro -- diff              # fresh --quick vs expected/
 //! cargo run --release -p bench --bin repro -- accept            # bless fresh run into expected/
+//! cargo run --release -p bench --bin repro -- load --quick      # self-gating serve smoke
 //! ```
 //!
-//! `run` executes six sweeps — noise-rate vs. decode success, topology
-//! scaling serial vs. threads, the adversary leaderboard (the four PR 5
-//! phase-aware attacks vs. their oblivious counterparts), serve
-//! latency/throughput, fault churn (injected link/party faults vs.
-//! explicit decode-or-degrade verdicts), and the adversary search
-//! (evolved corruption scripts vs. the hand-built seeds) — and writes
-//! `out/<tier>-<git-sha>/` containing
-//! `manifest.json` (tier, seed, `SIM_THREADS`, core count, shim
-//! versions), one `<sweep>.jsonl` per sweep, and a rendered `report.md`.
+//! `run` executes every sweep in [`SWEEPS`], one per table or figure,
+//! and writes `out/<tier>-<git-sha>/` containing `manifest.json` (tier,
+//! seed, `SIM_THREADS`, core count, shim versions), one `<sweep>.jsonl`
+//! per sweep, and a rendered `report.md`.
 //!
 //! `diff` compares the newest `out/quick-*` run against the committed
 //! expectations under `expected/` and exits nonzero on drift: **outcome**
 //! values (success rates, corruption counts, blow-ups — deterministic in
 //! the seeds) must match exactly, **timing** values only within
 //! `--tolerance` (default 1000×, i.e. effectively a sanity check across
-//! hardware classes). CI's `repro-quick` job runs `run --quick` followed
-//! by `diff` as a cheap end-to-end honesty check beyond the bench gate.
+//! hardware classes). Every sweep has a fixture, so every figure is
+//! outcome-exact under `diff`.
 //!
-//! Flags: `run [--quick|--lite|--full] [--seed S] [--out DIR]`,
-//! `diff/accept [--fresh DIR] [--expected DIR] [--tolerance X]`.
+//! `load` drives the simulation service open loop (arrivals at
+//! `t_i = i/rate`, so queueing shows up as latency instead of throttling
+//! the offered load) and appends its rows to `BENCH_serve.json`.
+//! `--quick` runs a small smoke load and **exits nonzero** unless
+//! throughput is nonzero and no request failed; `--compare-raw` also runs
+//! one population closed loop through the service and through
+//! `run_many`, fails unless the rows are byte-identical, and reports the
+//! wall-clock ratio.
 
 use bench::report::{diff_dirs, Manifest, RunWriter, Table};
 use bench::{
     derive_trial_seed, run_many, run_trial, sim_service, AttackSpec, FaultSpec, Scheme, SimRequest,
-    TopoSpec, WorkloadSpec,
+    TopoSpec, TrialResult, WorkloadSpec,
 };
-use mpic::{Parallelism, RunOptions, RunScratch, SchemeConfig, Simulation};
+use mpic::{Parallelism, RunOptions, RunScratch, SchemeConfig, SeedExpansion, Simulation};
 use netsim::PhaseKind;
 use serde_json::{json, Value};
-use serve::{LatencyHistogram, Priority, ServiceConfig, Ticket};
+use serve::{
+    Backpressure, LatencyHistogram, Priority, ServiceConfig, SimService, SubmitError, Ticket,
+};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant, SystemTime};
 
 /// Knobs of one tier. Outcome rows depend only on the seeds, so the same
 /// tier reproduces the same outcomes on any machine; the tiers differ in
 /// how much statistical and scaling depth they buy with wall clock.
+#[derive(Debug)]
 struct Tier {
     name: &'static str,
     noise_trials: usize,
@@ -55,9 +62,10 @@ struct Tier {
     scaling_threads: &'static [usize],
     serve_requests: usize,
     serve_rate: f64,
-    full_leaderboard: bool,
+    /// Longer size lists, the strong-τ leaderboard row and the full
+    /// adversary search.
+    deep: bool,
     churn_trials: usize,
-    full_search: bool,
 }
 
 /// CI-sized: everything in well under a minute on one core.
@@ -73,9 +81,8 @@ const QUICK: Tier = Tier {
     scaling_threads: &[2],
     serve_requests: 80,
     serve_rate: 400.0,
-    full_leaderboard: false,
+    deep: false,
     churn_trials: 6,
-    full_search: false,
 };
 
 /// Minutes-sized: real sweep resolution, mid-size topologies.
@@ -91,9 +98,8 @@ const LITE: Tier = Tier {
     scaling_threads: &[2, 4],
     serve_requests: 2000,
     serve_rate: 500.0,
-    full_leaderboard: true,
+    deep: true,
     churn_trials: 24,
-    full_search: true,
 };
 
 /// Hours-sized: publication-strength trial counts and the largest
@@ -110,66 +116,174 @@ const FULL: Tier = Tier {
     scaling_threads: &[2, 4, 8],
     serve_requests: 20_000,
     serve_rate: 800.0,
-    full_leaderboard: true,
+    deep: true,
     churn_trials: 96,
-    full_search: true,
 };
 
+impl Tier {
+    /// Network sizes of the size-sweeping figures.
+    fn sizes(&self) -> &'static [usize] {
+        if self.deep {
+            &[4, 6, 8, 10, 12, 16]
+        } else {
+            &[4, 6, 8]
+        }
+    }
+}
+
+const USAGE: &str = "usage: repro [run|diff|accept|load] [options]
+  run     [--quick|--lite|--full] [--seed S] [--out DIR]
+  diff    [--fresh DIR] [--expected DIR] [--out DIR] [--tolerance X]   (X > 1)
+  accept  [--fresh DIR] [--expected DIR] [--out DIR]
+  load    [--quick] [--rate R] [--requests N] [--workers W] [--mix small|schemes|mixed]
+          [--backpressure block|reject] [--seed S] [--out PATH] [--compare-raw]";
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Mode {
+    Run,
+    Diff,
+    Accept,
+    Load,
+}
+
+/// A `load` request population (see [`mix_requests`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Mix {
+    Small,
+    Schemes,
+    Mixed,
+}
+
+impl Mix {
+    fn parse(s: &str) -> Result<Mix, String> {
+        match s {
+            "small" => Ok(Mix::Small),
+            "schemes" => Ok(Mix::Schemes),
+            "mixed" => Ok(Mix::Mixed),
+            other => Err(format!("unknown mix {other:?}; use small|schemes|mixed")),
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Mix::Small => "small",
+            Mix::Schemes => "schemes",
+            Mix::Mixed => "mixed",
+        }
+    }
+}
+
+#[derive(Debug)]
 struct Args {
-    mode: String,
+    mode: Mode,
     tier: &'static Tier,
-    seed: u64,
-    out_root: String,
+    /// `--quick` was given: in `load`, the smoke setting and self-gate.
+    quick: bool,
+    /// Defaults per mode: 2024 for the sweeps, 42 for `load`.
+    seed: Option<u64>,
+    /// Defaults per mode: the `out` run root, `BENCH_serve.json` for `load`.
+    out: Option<String>,
     fresh: Option<String>,
     expected: String,
     tolerance: f64,
+    rate: f64,
+    requests: usize,
+    workers: usize,
+    mix: Mix,
+    reject: bool,
+    compare_raw: bool,
 }
 
-fn parse_args() -> Args {
+impl Args {
+    fn seed(&self) -> u64 {
+        self.seed
+            .unwrap_or(if self.mode == Mode::Load { 42 } else { 2024 })
+    }
+
+    fn out(&self) -> &str {
+        self.out.as_deref().unwrap_or(if self.mode == Mode::Load {
+            "BENCH_serve.json"
+        } else {
+            "out"
+        })
+    }
+}
+
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag} wants a number, got {v:?}"))
+}
+
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut a = Args {
-        mode: "run".into(),
+        mode: Mode::Run,
         tier: &QUICK,
-        seed: 2024,
-        out_root: "out".into(),
+        quick: false,
+        seed: None,
+        out: None,
         fresh: None,
         expected: "expected".into(),
         tolerance: 1000.0,
+        rate: 200.0,
+        requests: 400,
+        workers: 0,
+        mix: Mix::Mixed,
+        reject: false,
+        compare_raw: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| {
-            eprintln!("missing value after {}", argv[*i - 1]);
-            std::process::exit(2);
-        })
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "run" | "diff" | "accept" => a.mode = argv[i].clone(),
-            "--quick" => a.tier = &QUICK,
+    let mut it = argv.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || {
+            it.next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("missing value after {flag}"))
+        };
+        match flag.as_str() {
+            "run" => a.mode = Mode::Run,
+            "diff" => a.mode = Mode::Diff,
+            "accept" => a.mode = Mode::Accept,
+            "load" => a.mode = Mode::Load,
+            "--quick" => (a.tier, a.quick) = (&QUICK, true),
             "--lite" => a.tier = &LITE,
             "--full" => a.tier = &FULL,
-            "--seed" => a.seed = value(&mut i).parse().expect("--seed wants a u64"),
-            "--out" => a.out_root = value(&mut i),
-            "--fresh" => a.fresh = Some(value(&mut i)),
-            "--expected" => a.expected = value(&mut i),
+            "--seed" => a.seed = Some(number(flag, value()?)?),
+            "--out" => a.out = Some(value()?.into()),
+            "--fresh" => a.fresh = Some(value()?.into()),
+            "--expected" => a.expected = value()?.into(),
             "--tolerance" => {
-                a.tolerance = value(&mut i).parse().expect("--tolerance wants a number");
-                assert!(a.tolerance > 1.0, "--tolerance must exceed 1.0");
+                a.tolerance = number(flag, value()?)?;
+                // NaN would pass every tolerance comparison.
+                if a.tolerance.is_nan() || a.tolerance <= 1.0 {
+                    return Err(format!("--tolerance must exceed 1.0, got {}", a.tolerance));
+                }
             }
-            other => {
-                eprintln!(
-                    "unknown argument {other}; usage: repro [run|diff|accept] \
-                     [--quick|--lite|--full] [--seed S] [--out DIR] \
-                     [--fresh DIR] [--expected DIR] [--tolerance X]"
-                );
-                std::process::exit(2);
+            "--rate" => {
+                a.rate = number(flag, value()?)?;
+                if !a.rate.is_finite() || a.rate <= 0.0 {
+                    return Err(format!("--rate must be a positive rate, got {}", a.rate));
+                }
             }
+            "--requests" => a.requests = number(flag, value()?)?,
+            "--workers" => a.workers = number(flag, value()?)?,
+            "--mix" => a.mix = Mix::parse(value()?)?,
+            "--backpressure" => {
+                a.reject = match value()? {
+                    "reject" => true,
+                    "block" => false,
+                    other => {
+                        return Err(format!("unknown backpressure {other:?}; use block|reject"))
+                    }
+                }
+            }
+            "--compare-raw" => a.compare_raw = true,
+            other => return Err(format!("unknown argument {other:?}")),
         }
-        i += 1;
     }
-    a
+    if a.mode == Mode::Load && a.quick {
+        a.requests = a.requests.min(QUICK.serve_requests);
+        a.rate = a.rate.min(QUICK.serve_rate);
+    }
+    Ok(a)
 }
 
 fn git_short_sha() -> String {
@@ -187,42 +301,38 @@ fn git_short_sha() -> String {
 /// Versions of the offline shims linked into this driver, baked in at
 /// compile time from their manifests.
 fn shim_versions() -> Vec<String> {
-    fn entry(name: &str, toml: &str) -> String {
-        let version = toml
-            .lines()
-            .find_map(|l| l.strip_prefix("version"))
-            .and_then(|l| l.split('"').nth(1))
-            .unwrap_or("?");
-        format!("{name} {version}")
+    macro_rules! shim {
+        ($name:literal) => {
+            (
+                $name,
+                include_str!(concat!("../../../../shims/", $name, "/Cargo.toml")),
+            )
+        };
     }
-    vec![
-        entry("serde", include_str!("../../../../shims/serde/Cargo.toml")),
-        entry(
-            "serde_json",
-            include_str!("../../../../shims/serde_json/Cargo.toml"),
-        ),
-        entry(
-            "crossbeam",
-            include_str!("../../../../shims/crossbeam/Cargo.toml"),
-        ),
-        entry(
-            "parking_lot",
-            include_str!("../../../../shims/parking_lot/Cargo.toml"),
-        ),
-        entry(
-            "proptest",
-            include_str!("../../../../shims/proptest/Cargo.toml"),
-        ),
-        entry(
-            "criterion",
-            include_str!("../../../../shims/criterion/Cargo.toml"),
-        ),
-    ]
+    let shims = [
+        shim!("serde"),
+        shim!("serde_json"),
+        shim!("crossbeam"),
+        shim!("parking_lot"),
+        shim!("proptest"),
+        shim!("criterion"),
+    ];
+    shims
+        .iter()
+        .map(|(name, toml)| {
+            let version = toml
+                .lines()
+                .find_map(|l| l.strip_prefix("version"))
+                .and_then(|l| l.split('"').nth(1))
+                .unwrap_or("?");
+            format!("{name} {version}")
+        })
+        .collect()
 }
 
-/// Sweep 1 — noise-rate vs. decode success for the three schemes, each
-/// in its theorem's own noise units (Thm 1.1: ε/m; Thm 1.2: ε/(m log m);
-/// App. B: ε/(m log log m)). The `repro` analog of `experiments f1/f2/f8`.
+/// Noise-rate vs. decode success for the three schemes, each in its
+/// theorem's own noise units (Thm 1.1: ε/m; Thm 1.2: ε/(m log m);
+/// App. B: ε/(m log log m)).
 fn noise_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
     let topo = TopoSpec::Ring(6);
     let m = topo.build(1).edge_count() as f64;
@@ -278,18 +388,438 @@ fn noise_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
     (table, rows)
 }
 
-/// Sweep 2 — topology scaling, serial vs. `Parallelism::Threads(t)` on
-/// the word-batched wire path. Outcomes are asserted byte-identical
-/// across thread counts (the `parallel_equivalence` contract); the
-/// timing columns record this machine's wall clock and are diffed only
-/// within tolerance. Thread counts are pinned per tier (not `nproc`) so
-/// the row set is machine-independent.
+/// Table 1 analog: blow-up and resilience per scheme × topology —
+/// noiseless, under iid noise at 0.01/m, and under a 12-round burst on
+/// one link inside the first simulated chunk, which the schemes detect
+/// and replay while the uncoded baselines silently absorb it.
+fn rate_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
+    let topologies = [
+        TopoSpec::Line(6),
+        TopoSpec::Star(6),
+        TopoSpec::Clique(5),
+        TopoSpec::Random(7, 11),
+    ];
+    let schemes = [
+        Scheme::A,
+        Scheme::B,
+        Scheme::C,
+        Scheme::NoCoding,
+        Scheme::Repetition(5),
+    ];
+    let burst = AttackSpec::Burst {
+        link_index: 0,
+        at_iteration: 0,
+        len: 12,
+    };
+    let trials = tier.noise_trials;
+    let mut table = Table::new(
+        "Table 1 — scheme comparison: blow-up and resilience",
+        &[
+            "scheme",
+            "topology",
+            "blowup",
+            "ok@0",
+            "ok@.01/m",
+            "ok@burst",
+            "achieved_f",
+        ],
+    );
+    let mut rows = Vec::new();
+    for scheme in schemes {
+        for topo in topologies {
+            let w = WorkloadSpec::Gossip { topo, rounds: 8 };
+            let m = topo.build(1).edge_count() as f64;
+            let (clean, _) = run_many(w, scheme, AttackSpec::None, trials, seed.wrapping_add(100));
+            let iid = AttackSpec::Iid { fraction: 0.01 / m };
+            let (noisy, _) = run_many(w, scheme, iid, trials, seed.wrapping_add(200));
+            let (bursty, _) = run_many(w, scheme, burst.clone(), trials, seed.wrapping_add(250));
+            table.push_row(vec![
+                scheme.label(),
+                topo.label(),
+                format!("{:.1}", clean.mean_blowup),
+                format!("{:.2}", clean.success_rate),
+                format!("{:.2}", noisy.success_rate),
+                format!("{:.2}", bursty.success_rate),
+                format!("{:.5}", noisy.mean_noise_fraction),
+            ]);
+            rows.push(json!({
+                "scheme": scheme.label(), "topo": topo.label(), "trials": trials,
+                "blowup": clean.mean_blowup, "clean_ok": clean.success_rate,
+                "noisy_ok": noisy.success_rate, "burst_ok": bursty.success_rate,
+                "achieved_fraction": noisy.mean_noise_fraction,
+            }));
+        }
+    }
+    (table, rows)
+}
+
+/// Constant rate: Algorithm A's communication blow-up vs. network size,
+/// noiseless and under iid noise at 0.01/m.
+fn blowup_vs_n_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
+    let trials = tier.noise_trials;
+    let (clean_seed, noisy_seed) = (seed.wrapping_add(300), seed.wrapping_add(400));
+    let mut table = Table::new(
+        "Constant rate — communication blow-up vs network size",
+        &["topology", "n", "m", "blowup", "blowup@.01/m", "ok@.01/m"],
+    );
+    let mut rows = Vec::new();
+    for &n in tier.sizes() {
+        for topo in [
+            TopoSpec::Line(n),
+            TopoSpec::Ring(n),
+            TopoSpec::Clique(n.min(8)),
+        ] {
+            let g = topo.build(1);
+            let m = g.edge_count() as f64;
+            let w = WorkloadSpec::Gossip { topo, rounds: 8 };
+            let (clean, _) = run_many(w, Scheme::A, AttackSpec::None, trials, clean_seed);
+            let iid = AttackSpec::Iid { fraction: 0.01 / m };
+            let (noisy, _) = run_many(w, Scheme::A, iid, trials, noisy_seed);
+            table.push_row(vec![
+                topo.label(),
+                g.node_count().to_string(),
+                g.edge_count().to_string(),
+                format!("{:.1}", clean.mean_blowup),
+                format!("{:.1}", noisy.mean_blowup),
+                format!("{:.2}", noisy.success_rate),
+            ]);
+            rows.push(json!({
+                "topo": topo.label(), "n": g.node_count(), "m": g.edge_count(),
+                "trials": trials, "blowup_clean": clean.mean_blowup,
+                "blowup_noisy": noisy.mean_blowup, "noisy_success": noisy.success_rate,
+            }));
+        }
+    }
+    (table, rows)
+}
+
+/// §1.2 line example: one early error on the line, with and without
+/// flag passing and the rewind phase. `done_at` is the first iteration
+/// with `G* ≥ |Π|` (null if never); `stalled_cc` is the communication
+/// spent, up to then, in iterations where `G*` made no progress — the
+/// "wasted communication" of §1.2. Without flag passing stalled
+/// iterations still burn full chunks; without the rewind phase the
+/// ⊥-induced length gaps never close and the run deadlocks.
+fn line_ablation_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
+    let mut table = Table::new(
+        "§1.2 ablation — one early error on the line: repair speed and stalled bits",
+        &["n", "variant", "ok", "done@", "stalled_cc", "clean@"],
+    );
+    let mut rows = Vec::new();
+    let at = |d: Option<u64>| d.map_or("never".into(), |d| d.to_string());
+    for &n in tier.sizes() {
+        for (variant, no_fp, no_rw) in [
+            ("full", false, false),
+            ("no_flag", true, false),
+            ("no_rewind", false, true),
+            ("neither", true, true),
+        ] {
+            let w = protocol::workloads::LinePipeline::new(n, 3, 99);
+            let g = protocol::Workload::graph(&w);
+            let mut cfg = SchemeConfig::algorithm_a(g, seed.wrapping_add(5));
+            cfg.disable_flag_passing = no_fp;
+            cfg.disable_rewind = no_rw;
+            let sim = Simulation::new(&w, cfg, 1);
+            let real = sim.proto().real_chunks();
+            let opts = RunOptions {
+                record_trace: true,
+                ..Default::default()
+            };
+            let clean = sim.run(Box::new(netsim::attacks::NoNoise), opts);
+            let round = sim.geometry().phase_start(0, PhaseKind::Simulation) + 2;
+            let link = netgraph::DirectedLink { from: 0, to: 1 };
+            let atk = netsim::attacks::SingleError::new(g, link, round);
+            let noisy = sim.run(Box::new(atk), opts);
+            let (done, stalled) = trace_metrics(&noisy.instrumentation.samples, real);
+            let (clean_done, _) = trace_metrics(&clean.instrumentation.samples, real);
+            table.push_row(vec![
+                n.to_string(),
+                variant.to_string(),
+                noisy.success.to_string(),
+                at(done),
+                stalled.to_string(),
+                at(clean_done),
+            ]);
+            rows.push(json!({
+                "n": n, "variant": variant, "success": noisy.success,
+                "done_at": done, "stalled_cc": stalled, "clean_done_at": clean_done,
+                "noisy_cc": noisy.stats.cc, "clean_cc": clean.stats.cc,
+            }));
+        }
+    }
+    (table, rows)
+}
+
+/// (first iteration with G* ≥ real, bits spent in non-progressing
+/// iterations up to that point — or up to the end if never done).
+fn trace_metrics(samples: &[mpic::IterationSample], real: usize) -> (Option<u64>, u64) {
+    let mut done = None;
+    let mut stalled = 0u64;
+    let mut prev_g = 0usize;
+    let mut prev_cc = 0u64;
+    for s in samples {
+        if done.is_none() {
+            if s.g_star <= prev_g {
+                stalled += s.cc - prev_cc;
+            }
+            if s.g_star >= real {
+                done = Some(s.iteration);
+            }
+        }
+        prev_g = s.g_star;
+        prev_cc = s.cc;
+    }
+    (done, stalled)
+}
+
+/// §6.1: the seed-aware non-oblivious attack vs. hash length τ on
+/// cliques (τ = 4, 8 and Θ(log m)), plus Appendix B's answer to it:
+/// against Algorithm C's hidden CRS the same oracle is starved.
+fn hash_len_vs_hunter_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
+    let sizes: &[usize] = if tier.deep { &[5, 6, 7, 8, 9] } else { &[5, 7] };
+    let hunter = AttackSpec::SeedAware { per_iteration: 1 };
+    let trials = tier.noise_trials;
+    let mut cases: Vec<(TopoSpec, usize, Scheme, u64)> = Vec::new();
+    for &n in sizes {
+        let topo = TopoSpec::Clique(n);
+        let m = topo.build(1).edge_count() as f64;
+        let tau_b = (3.0 * m.log2()).ceil() as u32;
+        for tau in [4, 8, tau_b] {
+            cases.push((topo, 6, Scheme::AWithHash(tau), seed.wrapping_add(500)));
+        }
+    }
+    cases.push((TopoSpec::Ring(6), 8, Scheme::C, seed.wrapping_add(900)));
+    let mut table = Table::new(
+        "§6.1 — seed-aware non-oblivious attack vs hash length τ (and vs hidden CRS)",
+        &["topology", "m", "scheme", "ok", "collisions", "corruptions"],
+    );
+    let mut rows = Vec::new();
+    for (topo, rounds, scheme, base) in cases {
+        let m = topo.build(1).edge_count();
+        let w = WorkloadSpec::Gossip { topo, rounds };
+        let (s, trial_rows) = run_many(w, scheme, hunter.clone(), trials, base);
+        let corruptions = trial_rows.iter().map(|r| r.corruptions as f64).sum::<f64>()
+            / trial_rows.len().max(1) as f64;
+        table.push_row(vec![
+            topo.label(),
+            m.to_string(),
+            scheme.label(),
+            format!("{:.2}", s.success_rate),
+            format!("{:.1}", s.mean_collisions),
+            format!("{corruptions:.1}"),
+        ]);
+        rows.push(json!({
+            "topo": topo.label(), "m": m, "scheme": scheme.label(), "trials": trials,
+            "success": s.success_rate, "collisions": s.mean_collisions,
+            "corruptions": corruptions,
+        }));
+    }
+    (table, rows)
+}
+
+/// Potential dynamics around an error burst: the per-iteration G*, H*,
+/// B*, errors+collisions and the φ̂ proxy of §4.1, from the iteration
+/// trace of one run with a 10-round burst at iteration 3, followed by a
+/// summary row with the run's verdict.
+fn potential_sweep(_tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
+    let w = protocol::workloads::Gossip::new(netgraph::topology::ring(5), 8, 3);
+    let g = protocol::Workload::graph(&w);
+    let sim = Simulation::new(&w, SchemeConfig::algorithm_a(g, seed.wrapping_add(5)), 4);
+    let start = sim.geometry().phase_start(3, PhaseKind::Simulation);
+    let link = netgraph::DirectedLink { from: 1, to: 2 };
+    let atk = netsim::attacks::BurstLink::new(g, link, start, 10);
+    let opts = RunOptions {
+        record_trace: true,
+        ..Default::default()
+    };
+    let out = sim.run(Box::new(atk), opts);
+    let mut table = Table::new(
+        "Potential dynamics — G*, H*, B*, φ̂ around an error burst at iteration 3",
+        &["iter", "G*", "H*", "B*", "EHC", "phi_hat"],
+    );
+    let mut rows = Vec::new();
+    for s in &out.instrumentation.samples {
+        table.push_row(vec![
+            s.iteration.to_string(),
+            s.g_star.to_string(),
+            s.h_star.to_string(),
+            s.b_star.to_string(),
+            s.ehc.to_string(),
+            format!("{:.0}", s.potential_proxy),
+        ]);
+        rows.push(serde_json::to_value(s).expect("sample serializes"));
+    }
+    rows.push(json!({
+        "row": "summary", "burst_iteration": 3u64, "success": out.success,
+        "collisions": out.instrumentation.hash_collisions,
+    }));
+    (table, rows)
+}
+
+/// §5: uniform CRS vs. exchanged δ-biased randomness (PRG and AGHP
+/// expansion) at equal k and τ under iid noise at 0.01/m, plus the cost
+/// of an attack aimed at the seed exchange itself.
+fn randomness_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
+    let w = protocol::workloads::TokenRing::new(4, 4, 3);
+    let g = protocol::Workload::graph(&w).clone();
+    let m = g.edge_count() as f64;
+    // Isolate the randomness variable: same k and τ as the CRS scheme.
+    let exchanged = |kind| {
+        let mut c = SchemeConfig::algorithm_b(&g, 6);
+        c.k_param = g.edge_count();
+        c.hash_bits = 8;
+        if let mpic::RandomnessMode::Exchanged { expansion, .. } = &mut c.randomness {
+            *expansion = kind;
+        }
+        c
+    };
+    let variants = [
+        ("crs", SchemeConfig::algorithm_a(&g, seed.wrapping_add(77))),
+        ("exch_prg", exchanged(SeedExpansion::Prg)),
+        ("exch_aghp", exchanged(SeedExpansion::Aghp)),
+    ];
+    let trials = tier.noise_trials;
+    let mut table = Table::new(
+        "§5 — CRS vs exchanged seeds (PRG and AGHP δ-biased expansion)",
+        &["variant", "ok", "blowup", "coll", "corr", "achieved_f"],
+    );
+    let mut rows = Vec::new();
+    for (variant, cfg) in variants {
+        let (mut ok, mut blowup, mut coll, mut frac) = (0usize, 0.0, 0.0, 0.0);
+        for t in 0..trials as u64 {
+            let sim = Simulation::new(&w, cfg.clone(), seed.wrapping_add(1000 + t));
+            let geo = sim.geometry();
+            let predicted = sim.predicted_cc();
+            let rounds = geo.setup + sim.iterations() as u64 * geo.iteration_rounds();
+            let attack = AttackSpec::Iid { fraction: 0.01 / m };
+            let adv = attack.build(&g, geo, predicted, rounds, seed.wrapping_add(2000 + t));
+            let opts = RunOptions {
+                noise_budget: (0.02 / m * predicted as f64) as u64,
+                ..Default::default()
+            };
+            let out = sim.run(adv, opts);
+            ok += usize::from(out.success);
+            blowup += out.blowup;
+            coll += out.instrumentation.hash_collisions as f64;
+            frac += out.stats.noise_fraction();
+        }
+        let t = trials.max(1) as f64;
+        let (ok, blowup, coll, frac) = (ok as f64 / t, blowup / t, coll / t, frac / t);
+        table.push_row(vec![
+            variant.to_string(),
+            format!("{ok:.2}"),
+            format!("{blowup:.1}"),
+            format!("{coll:.1}"),
+            "-".into(),
+            format!("{frac:.6}"),
+        ]);
+        rows.push(json!({
+            "variant": variant, "trials": trials, "success": ok, "blowup": blowup,
+            "collisions": coll, "achieved_fraction": frac,
+        }));
+    }
+    let sim = Simulation::new(&w, exchanged(SeedExpansion::Prg), seed.wrapping_add(9));
+    let adv = AttackSpec::Phase {
+        phase: PhaseKind::Setup,
+        prob: 0.25,
+    }
+    .build(
+        &g,
+        sim.geometry(),
+        sim.predicted_cc(),
+        0,
+        seed.wrapping_add(5),
+    );
+    let out = sim.run(adv, RunOptions::default());
+    table.push_row(vec![
+        "setup_attack".into(),
+        out.success.to_string(),
+        "-".into(),
+        "-".into(),
+        out.stats.corruptions.to_string(),
+        format!("{:.6}", out.stats.noise_fraction()),
+    ]);
+    rows.push(json!({
+        "variant": "setup_attack", "success": out.success,
+        "corruptions": out.stats.corruptions,
+        "achieved_fraction": out.stats.noise_fraction(),
+    }));
+    (table, rows)
+}
+
+/// Round blow-up vs. protocol sparsity: at equal round complexity
+/// rc(Π), the simulated round count follows the protocol's
+/// communication cc(Π), so a sparse protocol (one token hop per round)
+/// pays a far smaller round blow-up than a fully utilized one.
+fn sparsity_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
+    let workloads = [
+        (WorkloadSpec::TokenRing { n: 6, laps: 5 }, 30u64),
+        (
+            WorkloadSpec::Gossip {
+                topo: TopoSpec::Ring(6),
+                rounds: 30,
+            },
+            30u64,
+        ),
+    ];
+    let mut table = Table::new(
+        "Round blow-up vs protocol sparsity",
+        &[
+            "workload",
+            "cc(Pi)",
+            "rc(Pi)",
+            "rounds(sim)",
+            "round_blowup",
+        ],
+    );
+    let mut rows = Vec::new();
+    for (w, rc) in workloads {
+        let (s, trial_rows) = run_many(
+            w,
+            Scheme::A,
+            AttackSpec::None,
+            tier.noise_trials,
+            seed.wrapping_add(700),
+        );
+        let payload = trial_rows[0].payload_cc;
+        let round_blowup = s.mean_rounds / rc as f64;
+        table.push_row(vec![
+            w.label().to_string(),
+            payload.to_string(),
+            rc.to_string(),
+            format!("{:.0}", s.mean_rounds),
+            format!("{round_blowup:.1}"),
+        ]);
+        rows.push(json!({
+            "workload": w.label(), "trials": tier.noise_trials, "payload_cc": payload,
+            "rc_pi": rc, "rounds_sim": s.mean_rounds, "round_blowup": round_blowup,
+            "cc_blowup": s.mean_blowup,
+        }));
+    }
+    (table, rows)
+}
+
+/// Topology scaling, serial vs. `Parallelism::Threads(t)` on the
+/// word-batched wire path. Outcomes are asserted byte-identical across
+/// thread counts (the `parallel_equivalence` contract); the timing
+/// columns record this machine's wall clock and are diffed only within
+/// tolerance. Thread counts are pinned per tier (not `nproc`) so the row
+/// set is machine-independent. Topologies with n ≥ 128 also report
+/// Algorithm A's decode rate under iid noise at 0.002/m (`noisy_*`).
 fn scaling_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
     use netsim::attacks::NoNoise;
     let mut table = Table::new(
         "Topology scaling — serial vs. threads (byte-identical outcomes)",
         &[
-            "topology", "n", "m", "threads", "serial", "threaded", "speedup", "ok",
+            "topology",
+            "n",
+            "m",
+            "threads",
+            "serial",
+            "threaded",
+            "speedup",
+            "ok",
+            "ok@.002/m",
         ],
     );
     let mut rows = Vec::new();
@@ -309,6 +839,22 @@ fn scaling_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
             let out = sim.run_with_scratch(Box::new(NoNoise), RunOptions::default(), scratch);
             (t.elapsed(), out)
         };
+        let noisy = (g.node_count() >= 128).then(|| {
+            let spec = WorkloadSpec::Gossip {
+                topo: *topo,
+                rounds: 2,
+            };
+            let fraction = 0.002 / g.edge_count() as f64;
+            let attack = AttackSpec::Iid { fraction };
+            run_many(
+                spec,
+                Scheme::A,
+                attack,
+                tier.noise_trials,
+                seed.wrapping_add(950),
+            )
+            .0
+        });
         let (serial_t, serial_out) = timed(Parallelism::Serial, &mut scratch);
         for &t in tier.scaling_threads {
             let (par_t, par_out) = timed(Parallelism::Threads(t), &mut scratch);
@@ -329,24 +875,33 @@ fn scaling_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
                 format!("{par_t:.2?}"),
                 format!("{speedup:.2}x"),
                 serial_out.success.to_string(),
+                noisy
+                    .as_ref()
+                    .map_or("-".into(), |s| format!("{:.2}", s.success_rate)),
             ]);
-            rows.push(json!({
+            let mut row = json!({
                 "topology": topo.label(), "n": g.node_count(), "m": g.edge_count(),
                 "threads": t, "success": serial_out.success,
                 "rounds": serial_out.stats.rounds, "cc": serial_out.stats.cc,
                 "serial_ns": serial_t.as_nanos() as u64,
                 "threads_ns": par_t.as_nanos() as u64,
                 "speedup": speedup, "outcome_identical": true,
-            }));
+            });
+            if let (Some(s), Value::Object(fields)) = (&noisy, &mut row) {
+                fields.push(("noisy_trials".into(), json!(tier.noise_trials)));
+                fields.push(("noisy_success".into(), json!(s.success_rate)));
+                fields.push(("noisy_blowup".into(), json!(s.mean_blowup)));
+            }
+            rows.push(row);
         }
     }
     (table, rows)
 }
 
-/// Sweep 3 — the adversary leaderboard: each PR 5 phase-aware attack
-/// beside its closest oblivious counterpart at equal corruption budget,
-/// scored on the instrumented damage metric it targets. All rows are
-/// deterministic in the seed.
+/// The adversary leaderboard: each phase-aware attack beside its closest
+/// oblivious counterpart at equal corruption budget, scored on the
+/// instrumented damage metric it targets. All rows are deterministic in
+/// the seed.
 fn leaderboard_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
     use netsim::attacks::{
         BurstLink, CrossIterationHunter, FlagFlipper, IidNoise, MeetingPointSplitter, Pair,
@@ -417,6 +972,40 @@ fn leaderboard_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
         ("burst_alone", "oblivious", burst(&g), 11),
     ];
 
+    let mut results: Vec<(&str, &str, u64, mpic::SimOutcome)> = entries
+        .drain(..)
+        .map(|(label, family, adv, budget)| {
+            let opts = RunOptions {
+                noise_budget: budget,
+                record_trace: false,
+                expose_view: true,
+            };
+            (label, family, budget, sim.run(adv, opts))
+        })
+        .collect();
+
+    // The §6.1 cross-iteration hunter against its prey (τ = 4) and, on
+    // the deeper tiers, against τ = Θ(log m). Unbounded budgets list as 0.
+    let wc = protocol::workloads::Gossip::new(netgraph::topology::clique(6), 6, 51);
+    let gc = protocol::Workload::graph(&wc).clone();
+    let hunter = || Box::new(CrossIterationHunter::new(gc.edge_count(), 1, 8));
+    let mut weak = SchemeConfig::algorithm_a(&gc, seed.wrapping_add(61));
+    weak.hash_bits = 4;
+    let simc = Simulation::new(&wc, weak, 6);
+    let out = simc.run(hunter(), RunOptions::default());
+    results.push(("hunter_tau4", "adaptive", 0, out));
+    let out = simc.run(
+        Box::new(IidNoise::new(&gc, 0.001, 3)),
+        RunOptions::default(),
+    );
+    results.push(("iid_tau4", "oblivious", 0, out));
+    if tier.deep {
+        let mut strong = SchemeConfig::algorithm_a(&gc, seed.wrapping_add(61));
+        strong.hash_bits = (3.0 * (gc.edge_count() as f64).log2()).ceil() as u32;
+        let out = Simulation::new(&wc, strong, 6).run(hunter(), RunOptions::default());
+        results.push(("hunter_tau_strong", "adaptive", 0, out));
+    }
+
     let mut table = Table::new(
         "Adversary leaderboard — phase-aware attacks vs. oblivious counterparts",
         &[
@@ -424,195 +1013,204 @@ fn leaderboard_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
         ],
     );
     let mut rows = Vec::new();
-    let push = |label: &str,
-                family: &str,
-                out: &mpic::SimOutcome,
-                budget: u64,
-                table: &mut Table,
-                rows: &mut Vec<Value>| {
-        let b = if budget == u64::MAX {
-            "inf".into()
-        } else {
-            budget.to_string()
-        };
+    for (label, family, budget, out) in &results {
+        let ins = &out.instrumentation;
         table.push_row(vec![
             label.to_string(),
             family.to_string(),
-            b,
+            if *budget == 0 {
+                "inf".into()
+            } else {
+                budget.to_string()
+            },
             out.stats.corruptions.to_string(),
-            out.instrumentation.hash_collisions.to_string(),
-            out.instrumentation.mp_truncations.to_string(),
-            out.instrumentation.stalled_iterations.to_string(),
-            out.instrumentation.rewind_truncations.to_string(),
+            ins.hash_collisions.to_string(),
+            ins.mp_truncations.to_string(),
+            ins.stalled_iterations.to_string(),
+            ins.rewind_truncations.to_string(),
             out.success.to_string(),
         ]);
         rows.push(json!({
-            "attack": label, "family": family,
-            "budget": if budget == u64::MAX { 0u64 } else { budget },
+            "attack": label, "family": family, "budget": budget,
             "corruptions": out.stats.corruptions,
-            "collisions": out.instrumentation.hash_collisions,
-            "mp_truncations": out.instrumentation.mp_truncations,
-            "stalled_iterations": out.instrumentation.stalled_iterations,
-            "rewind_truncations": out.instrumentation.rewind_truncations,
+            "collisions": ins.hash_collisions,
+            "mp_truncations": ins.mp_truncations,
+            "stalled_iterations": ins.stalled_iterations,
+            "rewind_truncations": ins.rewind_truncations,
             "success": out.success,
         }));
-    };
-    for (label, family, adv, budget) in entries.drain(..) {
-        let out = sim.run(
-            adv,
-            RunOptions {
-                noise_budget: budget,
-                record_trace: false,
-                expose_view: true,
-            },
-        );
-        push(label, family, &out, budget, &mut table, &mut rows);
-    }
-
-    // The §6.1 cross-iteration hunter against its prey (τ = 4) and, on
-    // the deeper tiers, against τ = Θ(log m).
-    let wc = protocol::workloads::Gossip::new(netgraph::topology::clique(6), 6, 51);
-    let gc = protocol::Workload::graph(&wc).clone();
-    let mut weak = SchemeConfig::algorithm_a(&gc, seed.wrapping_add(61));
-    weak.hash_bits = 4;
-    let simc = Simulation::new(&wc, weak, 6);
-    let out = simc.run(
-        Box::new(CrossIterationHunter::new(gc.edge_count(), 1, 8)),
-        RunOptions::default(),
-    );
-    push(
-        "hunter_tau4",
-        "adaptive",
-        &out,
-        u64::MAX,
-        &mut table,
-        &mut rows,
-    );
-    let out = simc.run(
-        Box::new(IidNoise::new(&gc, 0.001, 3)),
-        RunOptions::default(),
-    );
-    push(
-        "iid_tau4",
-        "oblivious",
-        &out,
-        u64::MAX,
-        &mut table,
-        &mut rows,
-    );
-    if tier.full_leaderboard {
-        let mut strong = SchemeConfig::algorithm_a(&gc, seed.wrapping_add(61));
-        strong.hash_bits = (3.0 * (gc.edge_count() as f64).log2()).ceil() as u32;
-        let sims = Simulation::new(&wc, strong, 6);
-        let out = sims.run(
-            Box::new(CrossIterationHunter::new(gc.edge_count(), 1, 8)),
-            RunOptions::default(),
-        );
-        push(
-            "hunter_tau_strong",
-            "adaptive",
-            &out,
-            u64::MAX,
-            &mut table,
-            &mut rows,
-        );
     }
     (table, rows)
 }
 
-/// Sweep 4 — serve latency/throughput: the PR 7 open-loop load pattern
-/// (arrivals at `t_i = i/rate`, so queueing shows up as latency) against
-/// `SimService`, plus a closed-loop identity spot-check of served rows
-/// against direct `run_trial`. Served/failed counts are outcomes; the
-/// latency and throughput columns are this machine's wall clock.
-fn serve_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
+/// The request population of a mix: small workloads so a load test
+/// measures the service, not one giant simulation. Every 8th request in
+/// `Mixed` rides the high-priority lane.
+fn mix_requests(mix: Mix, n: usize, base_seed: u64) -> Vec<(SimRequest, Priority)> {
     let ring = WorkloadSpec::Gossip {
         topo: TopoSpec::Ring(4),
         rounds: 5,
     };
     let token = WorkloadSpec::TokenRing { n: 4, laps: 2 };
-    let rotation: [(WorkloadSpec, Scheme, AttackSpec); 5] = [
-        (ring, Scheme::A, AttackSpec::None),
-        (token, Scheme::A, AttackSpec::Iid { fraction: 0.002 }),
-        (ring, Scheme::B, AttackSpec::None),
-        (token, Scheme::C, AttackSpec::None),
-        (ring, Scheme::NoCoding, AttackSpec::None),
-    ];
-    let request = |i: usize| -> (SimRequest, Priority) {
-        let (workload, scheme, ref attack) = rotation[i % rotation.len()];
-        let attack = attack.clone();
-        let pri = if i % 8 == 7 {
-            Priority::High
-        } else {
-            Priority::Normal
-        };
-        (
-            SimRequest {
+    let rotation: Vec<(WorkloadSpec, Scheme, AttackSpec)> = match mix {
+        Mix::Small => vec![(token, Scheme::A, AttackSpec::None)],
+        Mix::Schemes => vec![
+            (ring, Scheme::A, AttackSpec::None),
+            (ring, Scheme::B, AttackSpec::None),
+            (ring, Scheme::C, AttackSpec::None),
+        ],
+        Mix::Mixed => vec![
+            (ring, Scheme::A, AttackSpec::None),
+            (token, Scheme::A, AttackSpec::Iid { fraction: 0.002 }),
+            (ring, Scheme::B, AttackSpec::None),
+            (token, Scheme::C, AttackSpec::None),
+            (ring, Scheme::NoCoding, AttackSpec::None),
+        ],
+    };
+    (0..n)
+        .map(|i| {
+            let (workload, scheme, ref attack) = rotation[i % rotation.len()];
+            let pri = if mix == Mix::Mixed && i % 8 == 7 {
+                Priority::High
+            } else {
+                Priority::Normal
+            };
+            let req = SimRequest {
                 workload,
                 scheme,
-                attack,
+                attack: attack.clone(),
                 fault: FaultSpec::None,
-                seed: derive_trial_seed(seed, i),
-            },
-            pri,
-        )
-    };
+                seed: derive_trial_seed(base_seed, i),
+            };
+            (req, pri)
+        })
+        .collect()
+}
 
-    let svc = sim_service(ServiceConfig {
-        queue_capacity: tier.serve_requests.max(16),
+/// A [`SimService`] sized for a load of `capacity` requests.
+fn load_service(workers: usize, reject: bool, capacity: usize) -> SimService<SimRequest> {
+    sim_service(ServiceConfig {
+        workers,
+        queue_capacity: capacity.max(16),
+        backpressure: if reject {
+            Backpressure::Reject {
+                retry_after: Duration::from_millis(2),
+            }
+        } else {
+            Backpressure::Block
+        },
         ..ServiceConfig::default()
-    });
+    })
+}
+
+#[derive(Default)]
+struct LoadReport {
+    e2e: LatencyHistogram,
+    queue: LatencyHistogram,
+    exec: LatencyHistogram,
+    served: u64,
+    cache_hits: u64,
+    rejected: u64,
+    cancelled: u64,
+    /// Tickets that resolved without a result: lost replies, contained
+    /// panics, expired deadlines, and submits refused at shutdown.
+    lost: u64,
+    elapsed: Duration,
+}
+
+impl LoadReport {
+    fn failed(&self) -> u64 {
+        self.rejected + self.cancelled + self.lost
+    }
+
+    fn throughput(&self) -> f64 {
+        self.served as f64 / self.elapsed.as_secs_f64().max(1e-9)
+    }
+
+    fn cache_hit_rate(&self) -> f64 {
+        self.cache_hits as f64 / self.served.max(1) as f64
+    }
+}
+
+/// Drives `population` through `svc` open loop: request `i` is submitted
+/// at `start + i/rate`, and a collector thread awaits the replies so
+/// submission never blocks on completed work.
+fn drive_open_loop(
+    svc: &SimService<SimRequest>,
+    rate: f64,
+    population: Vec<(SimRequest, Priority)>,
+) -> LoadReport {
     let client = svc.client();
-    let n = tier.serve_requests;
-    let (tx, rx) = crossbeam::channel::bounded::<(Instant, Ticket<bench::TrialResult>)>(n.max(1));
+    let (tickets_tx, tickets_rx) =
+        crossbeam::channel::bounded::<(Instant, Ticket<TrialResult>)>(population.len().max(1));
     let collector = std::thread::spawn(move || {
-        let mut e2e = LatencyHistogram::default();
-        let mut queue = LatencyHistogram::default();
-        let mut exec = LatencyHistogram::default();
-        let mut served = 0u64;
-        let mut failed = 0u64;
-        while let Ok((submitted, ticket)) = rx.recv() {
-            match ticket.wait() {
-                Ok(resp) => {
-                    e2e.record(submitted.elapsed().as_nanos() as u64);
-                    queue.record(resp.queue_ns);
-                    exec.record(resp.exec_ns);
-                    match resp.outcome {
-                        serve::Outcome::Done(_) => served += 1,
-                        serve::Outcome::Cancelled
-                        | serve::Outcome::Failed { .. }
-                        | serve::Outcome::TimedOut => failed += 1,
-                    }
+        let mut r = LoadReport::default();
+        while let Ok((submitted, ticket)) = tickets_rx.recv() {
+            let Ok(resp) = ticket.wait() else {
+                r.lost += 1;
+                continue;
+            };
+            r.e2e.record(submitted.elapsed().as_nanos() as u64);
+            r.queue.record(resp.queue_ns);
+            r.exec.record(resp.exec_ns);
+            match resp.outcome {
+                // A noisy mix legitimately produces unsuccessful trials;
+                // either way the *request* succeeded.
+                serve::Outcome::Done(_) => {
+                    r.served += 1;
+                    r.cache_hits += u64::from(resp.cache_hit);
                 }
-                Err(_) => failed += 1,
+                serve::Outcome::Cancelled => r.cancelled += 1,
+                serve::Outcome::Failed { .. } | serve::Outcome::TimedOut => r.lost += 1,
             }
         }
-        (e2e, queue, exec, served, failed)
+        r
     });
+
+    let (mut rejected, mut refused) = (0, 0);
     let start = Instant::now();
-    let interval = Duration::from_secs_f64(1.0 / tier.serve_rate.max(1e-3));
-    for i in 0..n {
+    let interval = Duration::from_secs_f64(1.0 / rate.max(1e-3));
+    for (i, (req, pri)) in population.into_iter().enumerate() {
         let due = start + interval.mul_f64(i as f64);
         let now = Instant::now();
         if due > now {
             std::thread::sleep(due - now);
         }
-        let (req, pri) = request(i);
-        let ticket = client
-            .submit(req, pri)
-            .expect("Block backpressure: submit cannot fail while the service runs");
-        tx.send((Instant::now(), ticket)).expect("collector gone");
+        match client.submit(req, pri) {
+            Ok(t) => tickets_tx
+                .send((Instant::now(), t))
+                .expect("collector outlives the submit loop"),
+            Err(SubmitError::Overloaded { .. }) => rejected += 1,
+            Err(SubmitError::ShuttingDown) => refused += 1,
+        }
     }
-    drop(tx);
-    let (e2e, queue, exec, served, failed) = collector.join().expect("collector panicked");
-    let elapsed = start.elapsed();
-    let throughput = served as f64 / elapsed.as_secs_f64().max(1e-9);
+    drop(tickets_tx);
+    let mut report = collector.join().expect("collector panicked");
+    report.rejected += rejected;
+    report.lost += refused;
+    report.elapsed = start.elapsed();
+    report
+}
+
+fn us(ns: u64) -> f64 {
+    ns as f64 / 1e3
+}
+
+/// Serve latency/throughput: the `mixed` load population open loop
+/// against `SimService`, plus a closed-loop identity spot-check of
+/// served rows against direct `run_trial`. Served/failed counts are
+/// outcomes; the latency and throughput columns are this machine's wall
+/// clock.
+fn serve_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
+    let n = tier.serve_requests;
+    let population = mix_requests(Mix::Mixed, n, seed);
+    let svc = load_service(0, false, n);
+    let load = drive_open_loop(&svc, tier.serve_rate, population.clone());
 
     // Identity spot-check: the first 12 population seeds, served closed
     // loop, must be byte-identical to direct `run_trial` rows.
     let checks = 12.min(n);
-    for i in 0..checks {
-        let (req, pri) = request(i);
+    for (req, pri) in population.into_iter().take(checks) {
         let row = svc
             .submit(req.clone(), pri)
             .expect("service accepting")
@@ -625,10 +1223,9 @@ fn serve_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
         assert_eq!(row, direct, "service diverged from run_trial on {req:?}");
     }
     svc.shutdown();
-    assert_eq!(served as usize, n, "open-loop run lost requests");
-    assert_eq!(failed, 0, "open-loop run had failed requests");
+    assert_eq!(load.served as usize, n, "open-loop run lost requests");
+    assert_eq!(load.failed(), 0, "open-loop run had failed requests");
 
-    let us = |ns: u64| ns as f64 / 1e3;
     let mut table = Table::new(
         "Serve — open-loop load through SimService (mixed workloads)",
         &[
@@ -646,63 +1243,56 @@ fn serve_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
     table.push_row(vec![
         n.to_string(),
         format!("{:.0}/s", tier.serve_rate),
-        served.to_string(),
-        failed.to_string(),
-        format!("{throughput:.0}"),
-        format!("{:.0}us", us(e2e.quantile(0.5))),
-        format!("{:.0}us", us(e2e.quantile(0.99))),
-        format!("{:.0}us", us(queue.quantile(0.99))),
-        format!("{:.0}us", us(exec.quantile(0.5))),
+        load.served.to_string(),
+        load.failed().to_string(),
+        format!("{:.0}", load.throughput()),
+        format!("{:.0}us", us(load.e2e.quantile(0.5))),
+        format!("{:.0}us", us(load.e2e.quantile(0.99))),
+        format!("{:.0}us", us(load.queue.quantile(0.99))),
+        format!("{:.0}us", us(load.exec.quantile(0.5))),
     ]);
     let rows = vec![
         json!({
-            "row": "load", "mix": "mixed", "requests": n, "served": served,
-            "failed": failed, "offered_rps": tier.serve_rate,
-            "throughput_rps": throughput,
-            "e2e_p50_us": us(e2e.quantile(0.5)), "e2e_p90_us": us(e2e.quantile(0.9)),
-            "e2e_p99_us": us(e2e.quantile(0.99)), "e2e_max_us": us(e2e.max()),
-            "queue_p99_us": us(queue.quantile(0.99)),
-            "exec_p50_us": us(exec.quantile(0.5)), "exec_p99_us": us(exec.quantile(0.99)),
+            "row": "load", "mix": Mix::Mixed.name(), "requests": n, "served": load.served,
+            "failed": load.failed(), "offered_rps": tier.serve_rate,
+            "throughput_rps": load.throughput(),
+            "e2e_p50_us": us(load.e2e.quantile(0.5)), "e2e_p90_us": us(load.e2e.quantile(0.9)),
+            "e2e_p99_us": us(load.e2e.quantile(0.99)), "e2e_max_us": us(load.e2e.max()),
+            "queue_p99_us": us(load.queue.quantile(0.99)),
+            "exec_p50_us": us(load.exec.quantile(0.5)),
+            "exec_p99_us": us(load.exec.quantile(0.99)),
         }),
         json!({"row": "identity", "requests": checks, "identical": true}),
     ];
     (table, rows)
 }
 
-/// Sweep 5 — fault churn: injected link/party fault schedules against
-/// Algorithms A and B, pinning the **explicit degradation semantics**
-/// (every trial decodes correctly or reports `Degraded` with a reason —
-/// never silently wrong) and the fault/resync counters. All keys are
+/// Fault churn: injected link/party fault schedules against Algorithms
+/// A and B, pinning the **explicit degradation semantics** (every trial
+/// decodes correctly or reports `Degraded` with a reason — never
+/// silently wrong) and the fault/resync counters. All keys are
 /// outcome-exact: the schedules, seeds and counters are deterministic,
 /// so there is nothing timing-shaped to tolerate.
 fn churn_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
     use bench::run_many_faulted;
-    let faults: [(&str, FaultSpec); 4] = [
+    let churn = |link_rate, crash_rate, outage_frac| FaultSpec::Churn {
+        link_rate,
+        crash_rate,
+        outage_frac,
+    };
+    let outage = FaultSpec::Burst {
+        start_frac: 0.3,
+        len_frac: 0.1,
+        fraction: 0.5,
+    };
+    // Row seeds derive from the position in this list, so new schedules
+    // go at the end.
+    let faults = [
         ("none", FaultSpec::None),
-        (
-            "churn-lo",
-            FaultSpec::Churn {
-                link_rate: 0.15,
-                crash_rate: 0.0,
-                outage_frac: 0.04,
-            },
-        ),
-        (
-            "churn-hi",
-            FaultSpec::Churn {
-                link_rate: 0.5,
-                crash_rate: 0.25,
-                outage_frac: 0.08,
-            },
-        ),
-        (
-            "outage",
-            FaultSpec::Burst {
-                start_frac: 0.3,
-                len_frac: 0.1,
-                fraction: 0.5,
-            },
-        ),
+        ("churn-lo", churn(0.15, 0.0, 0.04)),
+        ("churn-hi", churn(0.5, 0.25, 0.08)),
+        ("outage", outage),
+        ("crash", churn(0.0, 0.5, 0.1)),
     ];
     let w = WorkloadSpec::Gossip {
         topo: TopoSpec::Ring(5),
@@ -771,14 +1361,14 @@ fn churn_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
     (table, rows)
 }
 
-/// Sweep 6 — adversary search: the evolutionary outer loop over
-/// scripted-attack genomes, seeded from recordings of the leaderboard's
-/// hand-built attacks and scored on instrumented damage per budget unit.
-/// Every key is an outcome: the search derives entirely from the seed
-/// and fans out through the service, whose rows are byte-identical for
-/// every worker count and `SIM_THREADS` — so rows diff exactly.
+/// Adversary search: the evolutionary outer loop over scripted-attack
+/// genomes, seeded from recordings of the leaderboard's hand-built
+/// attacks and scored on instrumented damage per budget unit. Every key
+/// is an outcome: the search derives entirely from the seed and fans out
+/// through the service, whose rows are byte-identical for every worker
+/// count and `SIM_THREADS` — so rows diff exactly.
 fn search_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
-    let cfg = if tier.full_search {
+    let cfg = if tier.deep {
         bench::SearchConfig::full(seed)
     } else {
         bench::SearchConfig::quick(seed)
@@ -832,24 +1422,35 @@ fn search_sweep(tier: &Tier, seed: u64) -> (Table, Vec<Value>) {
     (table, rows)
 }
 
+type Sweep = fn(&Tier, u64) -> (Table, Vec<Value>);
+
+/// Every sweep `run` executes, in order. Each id names the sweep's
+/// `<id>.jsonl` artifact and its committed `expected/<id>.jsonl` fixture.
+const SWEEPS: [(&str, Sweep); 13] = [
+    ("noise", noise_sweep),
+    ("rate", rate_sweep),
+    ("blowup_vs_n", blowup_vs_n_sweep),
+    ("line_ablation", line_ablation_sweep),
+    ("hash_len_vs_hunter", hash_len_vs_hunter_sweep),
+    ("potential", potential_sweep),
+    ("randomness", randomness_sweep),
+    ("sparsity", sparsity_sweep),
+    ("scaling", scaling_sweep),
+    ("leaderboard", leaderboard_sweep),
+    ("serve", serve_sweep),
+    ("churn", churn_sweep),
+    ("search", search_sweep),
+];
+
 fn run_tier(args: &Args) -> std::io::Result<()> {
     let tier = args.tier;
     let sha = git_short_sha();
     let t0 = Instant::now();
-    println!("repro: tier={} sha={} seed={}", tier.name, sha, args.seed);
-    let mut writer = RunWriter::create(Path::new(&args.out_root), tier.name, &sha)?;
-    type Sweep = fn(&Tier, u64) -> (Table, Vec<Value>);
-    let sweeps: [(&str, Sweep); 6] = [
-        ("noise", noise_sweep),
-        ("scaling", scaling_sweep),
-        ("leaderboard", leaderboard_sweep),
-        ("serve", serve_sweep),
-        ("churn", churn_sweep),
-        ("search", search_sweep),
-    ];
-    for (id, sweep) in sweeps {
+    println!("repro: tier={} sha={} seed={}", tier.name, sha, args.seed());
+    let mut writer = RunWriter::create(Path::new(args.out()), tier.name, &sha)?;
+    for (id, sweep) in SWEEPS {
         let t = Instant::now();
-        let (table, rows) = sweep(tier, args.seed);
+        let (table, rows) = sweep(tier, args.seed());
         println!("\n{}", table.to_markdown());
         println!("[{id}: {} row(s) in {:.1?}]", rows.len(), t.elapsed());
         writer.add_sweep(id, table, &rows)?;
@@ -858,7 +1459,7 @@ fn run_tier(args: &Args) -> std::io::Result<()> {
     let manifest = Manifest {
         tier: tier.name.into(),
         git_sha: sha,
-        seed: args.seed,
+        seed: args.seed(),
         sim_threads: mpic::sim_threads_env().map(|t| t as u64),
         nproc: std::thread::available_parallelism()
             .map(|p| p.get() as u64)
@@ -912,7 +1513,7 @@ fn diff_mode(args: &Args) -> i32 {
         .fresh
         .clone()
         .map(PathBuf::from)
-        .unwrap_or_else(|| latest_quick_run(&args.out_root));
+        .unwrap_or_else(|| latest_quick_run(args.out()));
     println!(
         "repro diff: {} vs expectations in {} (tolerance {}x on timing keys)",
         fresh.display(),
@@ -954,7 +1555,7 @@ fn accept_mode(args: &Args) -> i32 {
         .fresh
         .clone()
         .map(PathBuf::from)
-        .unwrap_or_else(|| latest_quick_run(&args.out_root));
+        .unwrap_or_else(|| latest_quick_run(args.out()));
     let expected = Path::new(&args.expected);
     std::fs::create_dir_all(expected).expect("cannot create expectation dir");
     let mut copied = 0usize;
@@ -981,15 +1582,303 @@ fn accept_mode(args: &Args) -> i32 {
     }
 }
 
+/// Closed-loop comparison: the same trial population through the service
+/// (saturated submission) and through `run_many`, with byte-identical
+/// rows required on every repetition. Both sides run three times and the
+/// fastest repetition counts — the populations are identical work, so
+/// min-of-reps compares the engines rather than the scheduler's mood.
+/// Returns (service_secs, raw_secs).
+fn compare_raw(args: &Args) -> Result<(f64, f64), String> {
+    let workload = WorkloadSpec::TokenRing { n: 4, laps: 2 };
+    let scheme = Scheme::A;
+    let attack = AttackSpec::Iid { fraction: 0.002 };
+    let trials = if args.quick { 24 } else { 200 };
+    let reps = 3;
+
+    let svc = load_service(args.workers, false, trials);
+    let mut service_s = f64::INFINITY;
+    let mut raw_s = f64::INFINITY;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        let tickets: Vec<Ticket<TrialResult>> = (0..trials)
+            .map(|i| {
+                let req = SimRequest {
+                    workload,
+                    scheme,
+                    attack: attack.clone(),
+                    fault: FaultSpec::None,
+                    seed: derive_trial_seed(args.seed(), i),
+                };
+                svc.submit(req, Priority::Normal)
+                    .expect("blocking submit cannot fail while the service runs")
+            })
+            .collect();
+        // Collect newest-first: each reply channel buffers its response,
+        // so waiting on the (FIFO-)last ticket first sleeps once for the
+        // whole batch instead of context-switching per reply — on a
+        // single core that per-reply ping-pong would bill scheduler
+        // overhead to the service that run_many never pays.
+        let mut service_rows: Vec<Option<TrialResult>> = tickets
+            .into_iter()
+            .rev()
+            .map(|t| t.wait().ok().and_then(|r| r.outcome.done()))
+            .collect();
+        service_rows.reverse();
+        service_s = service_s.min(t0.elapsed().as_secs_f64());
+
+        let t1 = Instant::now();
+        let (_, raw_rows) = run_many(workload, scheme, attack.clone(), trials, args.seed());
+        raw_s = raw_s.min(t1.elapsed().as_secs_f64());
+
+        if !service_rows
+            .iter()
+            .zip(&raw_rows)
+            .all(|(s, r)| s.as_ref() == Some(r))
+        {
+            svc.shutdown();
+            return Err("service results diverged from run_many on the same seeds".into());
+        }
+    }
+    svc.shutdown();
+    Ok((service_s, raw_s))
+}
+
+/// `repro load`: one open-loop load against the service, rows appended
+/// to `--out`; returns the process exit code.
+fn load_mode(args: &Args) -> i32 {
+    println!(
+        "repro load: mix={} rate={}req/s requests={} workers={} backpressure={}",
+        args.mix.name(),
+        args.rate,
+        args.requests,
+        if args.workers == 0 {
+            "auto".into()
+        } else {
+            args.workers.to_string()
+        },
+        if args.reject { "reject" } else { "block" },
+    );
+    let svc = load_service(args.workers, args.reject, args.requests);
+    let population = mix_requests(args.mix, args.requests, args.seed());
+    let report = drive_open_loop(&svc, args.rate, population);
+    let stats = svc.shutdown();
+    assert_eq!(
+        stats.served, report.served,
+        "service and collector disagree on served count"
+    );
+
+    println!(
+        "served {} / {} in {:.2}s  ({:.1} req/s), {} rejected, {} cancelled, {} lost, cache hit rate {:.3}",
+        report.served,
+        args.requests,
+        report.elapsed.as_secs_f64(),
+        report.throughput(),
+        report.rejected,
+        report.cancelled,
+        report.lost,
+        report.cache_hit_rate(),
+    );
+    for (name, h) in [
+        ("e2e", &report.e2e),
+        ("queue", &report.queue),
+        ("exec", &report.exec),
+    ] {
+        let q = |p| us(h.quantile(p));
+        println!(
+            "{name:<8} p50 {:>9.1}us  p90 {:>9.1}us  p99 {:>9.1}us  max {:>9.1}us",
+            q(0.5),
+            q(0.9),
+            q(0.99),
+            us(h.max()),
+        );
+    }
+
+    let mut rows = vec![json!({
+        "id": format!("serve/{}/r{}", args.mix.name(), args.rate as u64),
+        "requests": args.requests,
+        "served": report.served,
+        "rejected": report.rejected,
+        "cancelled": report.cancelled,
+        "lost": report.lost,
+        "throughput_rps": report.throughput(),
+        "cache_hit_rate": report.cache_hit_rate(),
+        "e2e_p50_us": us(report.e2e.quantile(0.5)),
+        "e2e_p90_us": us(report.e2e.quantile(0.9)),
+        "e2e_p99_us": us(report.e2e.quantile(0.99)),
+        "e2e_max_us": us(report.e2e.max()),
+        "queue_p99_us": us(report.queue.quantile(0.99)),
+        "exec_p50_us": us(report.exec.quantile(0.5)),
+        "exec_p99_us": us(report.exec.quantile(0.99)),
+        "workers": args.workers,
+        "quick": args.quick,
+    })];
+
+    let mut code = 0;
+    if args.compare_raw {
+        match compare_raw(args) {
+            Ok((service_s, raw_s)) => {
+                let ratio = service_s / raw_s.max(1e-9);
+                println!(
+                    "compare-raw: service {service_s:.3}s vs run_many {raw_s:.3}s \
+                     (ratio {ratio:.3}, rows byte-identical)"
+                );
+                rows.push(json!({
+                    "id": "serve/compare_raw/tokenring_a_iid",
+                    "service_s": service_s,
+                    "raw_s": raw_s,
+                    "ratio": ratio,
+                    "quick": args.quick,
+                }));
+            }
+            Err(e) => {
+                eprintln!("COMPARE-RAW FAILED: {e}");
+                code = 1;
+            }
+        }
+    }
+
+    match std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(args.out())
+    {
+        Ok(mut f) => {
+            for row in &rows {
+                if let Err(e) = writeln!(f, "{row}") {
+                    eprintln!("could not append to {}: {e}", args.out());
+                }
+            }
+            println!("appended {} row(s) to {}", rows.len(), args.out());
+        }
+        Err(e) => eprintln!("could not open {} for appending: {e}", args.out()),
+    }
+
+    if args.quick {
+        if report.served == 0 || report.failed() > 0 {
+            eprintln!(
+                "QUICK GATE FAILED: served={} failed={}",
+                report.served,
+                report.failed()
+            );
+            return 1;
+        }
+        println!("quick gate ok: nonzero throughput, zero failed requests");
+    }
+    code
+}
+
 fn main() {
-    let args = parse_args();
-    match args.mode.as_str() {
-        "run" => run_tier(&args).unwrap_or_else(|e| {
-            eprintln!("repro run failed: {e}");
-            std::process::exit(1);
-        }),
-        "diff" => std::process::exit(diff_mode(&args)),
-        "accept" => std::process::exit(accept_mode(&args)),
-        _ => unreachable!("parse_args validates the mode"),
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("repro: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let code = match args.mode {
+        Mode::Run => match run_tier(&args) {
+            Ok(()) => 0,
+            Err(e) => {
+                eprintln!("repro run failed: {e}");
+                1
+            }
+        },
+        Mode::Diff => diff_mode(&args),
+        Mode::Accept => accept_mode(&args),
+        Mode::Load => load_mode(&args),
+    };
+    std::process::exit(code);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bench::report::{is_volatile_key, load_rows};
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        parse_args(&argv)
+    }
+
+    fn expected_dir() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../expected")
+    }
+
+    #[test]
+    fn malformed_arguments_are_errors_not_panics() {
+        let cases: &[&[&str]] = &[
+            &["run", "--seed", "abc"],
+            &["load", "--rate", "x"],
+            &["load", "--rate", "0"],
+            &["load", "--requests", "many"],
+            &["load", "--requests", "-1"],
+            &["diff", "--tolerance", "0.5"],
+            &["diff", "--tolerance", "1"],
+            &["diff", "--tolerance", "NaN"],
+            &["run", "--bogus"],
+            &["sideways"],
+            &["run", "--seed"],
+            &["diff", "--fresh"],
+            &["load", "--mix", "huge"],
+            &["load", "--backpressure", "drop"],
+        ];
+        for case in cases {
+            let err = parse(case).expect_err(&format!("{case:?} must be rejected"));
+            assert!(!err.is_empty(), "{case:?}: empty error message");
+        }
+    }
+
+    #[test]
+    fn defaults_depend_on_mode() {
+        let run = parse(&["run"]).expect("valid");
+        assert_eq!((run.seed(), run.out()), (2024, "out"));
+        let load = parse(&["load", "--quick", "--rate", "1000", "--mix", "small"]).expect("valid");
+        assert_eq!((load.seed(), load.out()), (42, "BENCH_serve.json"));
+        assert_eq!((load.requests, load.rate), (80, 400.0));
+        assert_eq!(load.mix, Mix::Small);
+        let seeded = parse(&["load", "--seed", "7", "--out", "x.json"]).expect("valid");
+        assert_eq!((seeded.seed(), seeded.out()), (7, "x.json"));
+        assert_eq!((seeded.requests, seeded.rate), (400, 200.0));
+    }
+
+    /// `diff_dirs` reports a sweep without a fixture only as "extra", so
+    /// an unguarded sweep would pass `repro diff` silently.
+    #[test]
+    fn every_sweep_has_a_fixture_and_every_fixture_a_sweep() {
+        let mut ids: Vec<&str> = SWEEPS.iter().map(|(id, _)| *id).collect();
+        ids.sort_unstable();
+        let mut stems: Vec<String> = std::fs::read_dir(expected_dir())
+            .expect("expected/ readable")
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
+            .map(|p| p.file_stem().expect("named").to_string_lossy().into_owned())
+            .collect();
+        stems.sort_unstable();
+        assert_eq!(ids, stems);
+    }
+
+    /// Only `scaling` and `serve` measure wall clock. Every other fixture
+    /// key, and the noisy-decode keys on `scaling`, must be diffed
+    /// exactly, so none may end in a suffix `is_volatile_key` treats as
+    /// timing.
+    #[test]
+    fn outcome_keys_are_not_classified_as_timing() {
+        for (id, _) in SWEEPS {
+            if id == "serve" {
+                continue;
+            }
+            let rows = load_rows(&expected_dir().join(format!("{id}.jsonl"))).expect("fixture");
+            for row in &rows {
+                let Value::Object(fields) = row else {
+                    panic!("{id}: non-object row")
+                };
+                for (key, _) in fields {
+                    if id != "scaling" || key.starts_with("noisy_") {
+                        assert!(
+                            !is_volatile_key(key),
+                            "{id}.{key} would be tolerance-checked"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

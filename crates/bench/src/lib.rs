@@ -1,6 +1,6 @@
 //! Experiment harness: declarative trial specs, Monte-Carlo runs
-//! (crossbeam-parallel), and the generators behind every table/figure in
-//! EXPERIMENTS.md.
+//! (crossbeam-parallel), the simulation-service job, and the artifact
+//! layer behind every table/figure in EXPERIMENTS.md.
 //!
 //! The crate's vocabulary, bottom-up:
 //!
@@ -24,10 +24,10 @@
 //!   outcome-exact / timing-tolerant expectation diffing behind
 //!   `repro diff`.
 //!
-//! Binaries: `experiments` (per-figure generators), `bencher` (open-loop
-//! load against the service), `benchcmp` (A/B gate over bench JSON), and
-//! `repro` (tiered one-command reproduction pipeline; see
-//! EXPERIMENTS.md).
+//! Binaries: `repro` (the one driver: tiered sweeps behind every
+//! table/figure, expectation diffing, and `repro load`, the open-loop
+//! load against the service; see EXPERIMENTS.md) and `benchcmp` (A/B
+//! gate over bench JSON).
 
 #![forbid(unsafe_code)]
 

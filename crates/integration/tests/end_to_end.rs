@@ -142,7 +142,8 @@ fn noiseless_gossip_grid16x16() {
 /// targets. Word-batched wire rounds keep the whole run ≈ 0.5 s in debug
 /// builds, inside the tier-1 time box (budget ≤ 2 s; if this ever
 /// regresses past that, demote to `#[ignore]` and lean on the release-
-/// mode `experiments -- large` CI smoke instead).
+/// mode `repro run --quick` scaling sweep, whose n ≥ 128 rows CI diffs
+/// outcome-exact, instead).
 #[test]
 fn noiseless_gossip_ring1024() {
     let w = Gossip::new(netgraph::topology::ring(1024), 2, 25);

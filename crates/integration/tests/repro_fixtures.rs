@@ -1,6 +1,6 @@
 //! Pins the committed `expected/` quick-tier fixtures that back
 //! `repro diff` (and CI's `repro-quick` job): the files must stay
-//! parseable through the serde_json shim, cover all six sweeps, agree
+//! parseable through the serde_json shim, cover all thirteen sweeps, agree
 //! with themselves under the diff machinery, and the machinery must
 //! still flag an injected outcome drift against them.
 
@@ -12,8 +12,15 @@ fn expected_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../expected")
 }
 
-const SWEEPS: [&str; 6] = [
+const SWEEPS: [&str; 13] = [
     "noise",
+    "rate",
+    "blowup_vs_n",
+    "line_ablation",
+    "hash_len_vs_hunter",
+    "potential",
+    "randomness",
+    "sparsity",
     "scaling",
     "leaderboard",
     "serve",

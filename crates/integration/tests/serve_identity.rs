@@ -137,7 +137,7 @@ fn baselines_byte_identity() {
 
 /// A `run_many` population replayed through the service row by row: the
 /// public seed derivation plus the service reproduces the exact rows
-/// (this is what `bencher --compare-raw` asserts at load).
+/// (this is what `repro load --compare-raw` asserts at load).
 #[test]
 fn run_many_population_through_service() {
     let workload = WorkloadSpec::TokenRing { n: 4, laps: 2 };

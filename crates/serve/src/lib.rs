@@ -30,7 +30,8 @@
 //! workers always drain the high lane first. When a lane is full,
 //! [`Backpressure::Block`] makes `submit` wait for space and
 //! [`Backpressure::Reject`] fails fast with a retry-after hint — the
-//! open-loop `bencher` uses both modes to measure saturation behavior.
+//! open-loop `repro load` driver uses both modes to measure saturation
+//! behavior.
 //!
 //! ## Request lifecycle, in vocabulary order
 //!
@@ -61,10 +62,10 @@
 //!   request still queued when it expires resolves [`Outcome::TimedOut`]
 //!   without executing. Dispatch is the commit point: once a worker
 //!   starts a job it runs to completion.
-//! * **Bounded retry** — [`Client::submit_retry`] retries
-//!   [`SubmitError::Overloaded`] rejections with exponential backoff
-//!   (respecting the service's `retry_after` hint) up to
-//!   [`RetryPolicy::attempts`].
+//! * **Overload is reported, not retried** — under
+//!   [`Backpressure::Reject`] a full lane returns
+//!   [`SubmitError::Overloaded`] with the service's `retry_after` hint;
+//!   whether and when to resubmit is the caller's policy.
 //!
 //! The counters balance exactly:
 //! `submitted = served + cancelled + rejected + timed_out` once all
@@ -73,9 +74,8 @@
 //!
 //! Latency measurement lives beside, not inside, the service: callers
 //! record ticket round-trips into [`LatencyHistogram`]s, as the `bench`
-//! crate's `bencher` (ad-hoc load exploration) and `repro` (the serve
-//! sweep of the tiered reproduction pipeline, see EXPERIMENTS.md) both
-//! do.
+//! crate's `repro` driver does in its serve sweep and its `load` mode
+//! (see EXPERIMENTS.md).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -314,9 +314,6 @@ pub struct ServiceStats {
     /// Sub-count of [`ServiceStats::served`]: jobs that panicked on a
     /// worker and were contained ([`Outcome::Failed`]).
     pub panicked: u64,
-    /// Overload rejections retried internally by
-    /// [`Client::submit_retry`] (each backoff-and-resubmit counts one).
-    pub retried: u64,
     /// Artifact-cache hits across all workers.
     pub cache_hits: u64,
     /// Artifact-cache misses (compilations) across all workers.
@@ -342,7 +339,6 @@ struct Counters {
     rejected: AtomicU64,
     timed_out: AtomicU64,
     panicked: AtomicU64,
-    retried: AtomicU64,
     depth: AtomicU64,
     depth_highwater: AtomicU64,
     /// Submitters currently inside `submit` (possibly blocked in a full
@@ -376,40 +372,11 @@ struct Envelope<J: Job> {
 pub struct SubmitOpts {
     /// Queue lane.
     pub priority: Priority,
-    /// Time the request may spend queued, measured from submission
-    /// (from the *first* attempt under [`Client::submit_retry`]). A
+    /// Time the request may spend queued, measured from submission. A
     /// request still undispatched when it expires resolves
     /// [`Outcome::TimedOut`] without executing; once dispatched, a job
     /// always runs to completion. `None` waits indefinitely.
     pub deadline: Option<Duration>,
-}
-
-/// Bounded retry-with-backoff policy for [`Client::submit_retry`].
-///
-/// Only [`SubmitError::Overloaded`] is retried; [`SubmitError::ShuttingDown`]
-/// is permanent and returned immediately. Each retry sleeps the larger of
-/// the service's `retry_after` hint and the current backoff, then doubles
-/// the backoff up to [`RetryPolicy::max_backoff`]. A `max_backoff` below
-/// `base_backoff` is treated as equal to `base_backoff` (the floor wins).
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Total submission attempts (≥ 1; clamped). `attempts = 1` means no
-    /// retry at all.
-    pub attempts: u32,
-    /// First retry's backoff floor.
-    pub base_backoff: Duration,
-    /// Backoff ceiling for the exponential doubling.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 4,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(50),
-        }
-    }
 }
 
 /// A cloneable submission handle to a running [`SimService`].
@@ -448,19 +415,6 @@ impl<J: Job> Client<J> {
     /// deadline).
     pub fn submit_with(&self, job: J, opts: SubmitOpts) -> Result<Ticket<J::Out>, SubmitError> {
         let deadline = opts.deadline.map(|d| Instant::now() + d);
-        self.submit_at(job, opts.priority, deadline)
-    }
-
-    /// Submission against an already-anchored absolute deadline — the
-    /// primitive both [`Client::submit_with`] (which anchors at call
-    /// time) and [`Client::submit_retry`] (which anchors **once** for
-    /// the whole retry sequence) build on.
-    fn submit_at(
-        &self,
-        job: J,
-        priority: Priority,
-        deadline: Option<Instant>,
-    ) -> Result<Ticket<J::Out>, SubmitError> {
         // Register as in-flight *before* the accepting check (and
         // deregister on every exit): shutdown stores `accepting = false`
         // and then waits for `inflight == 0`, so with both sides SeqCst
@@ -469,82 +423,9 @@ impl<J: Job> Client<J> {
         // while workers are still draining.
         let inflight = &self.shared.counters.inflight;
         inflight.fetch_add(1, Ordering::SeqCst);
-        let res = self.submit_inner(job, priority, deadline);
+        let res = self.submit_inner(job, opts.priority, deadline);
         inflight.fetch_sub(1, Ordering::SeqCst);
         res
-    }
-
-    /// [`Client::submit_with`] plus bounded retry on overload: an
-    /// [`SubmitError::Overloaded`] rejection sleeps (the larger of the
-    /// backoff and the service's `retry_after` hint) and resubmits, up
-    /// to `policy.attempts` total attempts. Requires `J: Clone` because
-    /// a rejected submission consumes the job.
-    ///
-    /// [`SubmitOpts::deadline`] is anchored **once**, at the first
-    /// attempt: every resubmission carries the same absolute expiry, and
-    /// a backoff sleep that would overshoot it is skipped — the call
-    /// returns a ticket already resolved [`Outcome::TimedOut`] instead
-    /// of waiting out a rejection it can no longer recover from.
-    pub fn submit_retry(
-        &self,
-        job: J,
-        opts: SubmitOpts,
-        policy: RetryPolicy,
-    ) -> Result<Ticket<J::Out>, SubmitError>
-    where
-        J: Clone,
-    {
-        let attempts = policy.attempts.max(1);
-        // Guard the inverted-ceiling misconfiguration: with
-        // `max_backoff < base_backoff`, a bare `min(max_backoff)` would
-        // shrink every retry *below* its configured floor. The floor
-        // wins.
-        let max_backoff = policy.max_backoff.max(policy.base_backoff);
-        let started = Instant::now();
-        let deadline = opts.deadline.map(|d| started + d);
-        let mut backoff = policy.base_backoff;
-        for attempt in 1..=attempts {
-            match self.submit_at(job.clone(), opts.priority, deadline) {
-                Err(SubmitError::Overloaded { retry_after }) if attempt < attempts => {
-                    self.shared.counters.retried.fetch_add(1, Ordering::Relaxed);
-                    let pause = backoff.max(retry_after);
-                    if let Some(d) = deadline {
-                        if Instant::now() + pause >= d {
-                            // Sleeping past the deadline cannot succeed:
-                            // a later resubmission would only expire in
-                            // the queue. Resolve TimedOut now.
-                            return Ok(self.timed_out_ticket(started.elapsed()));
-                        }
-                    }
-                    std::thread::sleep(pause);
-                    backoff = (backoff * 2).min(max_backoff);
-                }
-                res => return res,
-            }
-        }
-        unreachable!("loop returns on the final attempt")
-    }
-
-    /// A ticket pre-resolved [`Outcome::TimedOut`] for a deadlined
-    /// retry sequence abandoned client-side. Counted as one submission
-    /// that timed out, so the lifecycle equation (submitted = served +
-    /// cancelled + rejected + timed_out) stays balanced.
-    fn timed_out_ticket(&self, waited: Duration) -> Ticket<J::Out> {
-        let c = &self.shared.counters;
-        c.submitted.fetch_add(1, Ordering::Relaxed);
-        c.timed_out.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = bounded(1);
-        let _ = reply_tx.send(Response {
-            outcome: Outcome::TimedOut,
-            queue_ns: waited.as_nanos() as u64,
-            exec_ns: 0,
-            worker: usize::MAX,
-            cache_hit: false,
-        });
-        Ticket {
-            reply: reply_rx,
-            cancel: Arc::new(AtomicBool::new(false)),
-        }
     }
 
     fn submit_inner(
@@ -689,7 +570,6 @@ impl<J: Job> SimService<J> {
             rejected: c.rejected.load(Ordering::Relaxed),
             timed_out: c.timed_out.load(Ordering::Relaxed),
             panicked: c.panicked.load(Ordering::Relaxed),
-            retried: c.retried.load(Ordering::Relaxed),
             cache_hits: shared.cache.hits(),
             cache_misses: shared.cache.misses(),
             cache_entries: shared.cache.len() as u64,
@@ -1316,244 +1196,6 @@ mod tests {
         let stats = svc.shutdown();
         assert_eq!(stats.timed_out, 1);
         assert_eq!(stats.served, 1);
-        assert_eq!(
-            stats.submitted,
-            stats.served + stats.cancelled + stats.rejected + stats.timed_out
-        );
-    }
-
-    #[test]
-    fn submit_retry_rides_out_transient_overload() {
-        let svc: SimService<TestJob> = SimService::start(ServiceConfig {
-            workers: 1,
-            queue_capacity: 1,
-            backpressure: Backpressure::Reject {
-                retry_after: Duration::from_millis(1),
-            },
-            ..ServiceConfig::default()
-        });
-        let (gate_tx, gate_rx) = ch::bounded(1);
-        // Occupy the worker, then fill the single lane slot, so the
-        // retry below deterministically starts against a full lane.
-        let blocker = svc
-            .submit(
-                TestJob {
-                    id: 0,
-                    gate: Some(gate_rx),
-                    done: None,
-                },
-                Priority::Normal,
-            )
-            .unwrap();
-        while svc.stats().queue_depth > 0 {
-            std::thread::yield_now();
-        }
-        let queued = svc.submit(TestJob::plain(1), Priority::Normal).unwrap();
-        let client = svc.client();
-        let retrier = std::thread::spawn(move || {
-            client.submit_retry(
-                TestJob::plain(2),
-                SubmitOpts::default(),
-                RetryPolicy {
-                    attempts: 500,
-                    base_backoff: Duration::from_millis(1),
-                    max_backoff: Duration::from_millis(5),
-                },
-            )
-        });
-        // Let it bounce off the full lane at least once, then unblock.
-        while svc.stats().rejected == 0 {
-            std::thread::yield_now();
-        }
-        gate_tx.send(()).unwrap();
-        let c = retrier.join().unwrap().expect("retry must eventually land");
-        for (t, want) in [(blocker, 0), (queued, 1), (c, 2)] {
-            assert_eq!(t.wait().unwrap().outcome, Outcome::Done(want));
-        }
-        let stats = svc.shutdown();
-        assert_eq!(stats.served, 3);
-        assert!(stats.retried >= 1);
-        assert_eq!(stats.rejected, stats.retried);
-        assert_eq!(
-            stats.submitted,
-            stats.served + stats.cancelled + stats.rejected + stats.timed_out
-        );
-    }
-
-    #[test]
-    fn submit_retry_exhaustion_reports_overloaded() {
-        let svc: SimService<TestJob> = SimService::start(ServiceConfig {
-            workers: 1,
-            queue_capacity: 1,
-            backpressure: Backpressure::Reject {
-                retry_after: Duration::from_millis(1),
-            },
-            ..ServiceConfig::default()
-        });
-        let (gate_tx, gate_rx) = ch::bounded(1);
-        // Occupy the worker, then fill the single normal-lane slot, so
-        // every retry below hits a deterministically full lane.
-        let blocker = svc
-            .submit(
-                TestJob {
-                    id: 0,
-                    gate: Some(gate_rx),
-                    done: None,
-                },
-                Priority::Normal,
-            )
-            .unwrap();
-        while svc.stats().queue_depth > 0 {
-            std::thread::yield_now();
-        }
-        let queued = svc.submit(TestJob::plain(1), Priority::Normal).unwrap();
-        let res = svc.client().submit_retry(
-            TestJob::plain(2),
-            SubmitOpts::default(),
-            RetryPolicy {
-                attempts: 3,
-                base_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(2),
-            },
-        );
-        assert!(matches!(res, Err(SubmitError::Overloaded { .. })));
-        gate_tx.send(()).unwrap();
-        for t in [blocker, queued] {
-            assert!(matches!(t.wait().unwrap().outcome, Outcome::Done(_)));
-        }
-        let stats = svc.shutdown();
-        assert_eq!(stats.retried, 2, "attempts 3 = 1 try + 2 retries");
-        assert_eq!(stats.rejected, 3);
-        assert_eq!(
-            stats.submitted,
-            stats.served + stats.cancelled + stats.rejected + stats.timed_out
-        );
-    }
-
-    /// Regression (PR 10): `submit_retry` used to re-anchor the relative
-    /// deadline on every attempt and sleep full backoffs without
-    /// checking it, so a deadlined request against a saturated service
-    /// waited out the whole backoff schedule. Now the deadline is
-    /// absolute across attempts and an overshooting sleep resolves
-    /// TimedOut instead.
-    #[test]
-    fn submit_retry_honors_deadline_across_attempts() {
-        let svc: SimService<TestJob> = SimService::start(ServiceConfig {
-            workers: 1,
-            queue_capacity: 1,
-            backpressure: Backpressure::Reject {
-                retry_after: Duration::from_millis(1),
-            },
-            ..ServiceConfig::default()
-        });
-        let (gate_tx, gate_rx) = ch::bounded(1);
-        // Saturate: worker occupied, single lane slot full.
-        let blocker = svc
-            .submit(
-                TestJob {
-                    id: 0,
-                    gate: Some(gate_rx),
-                    done: None,
-                },
-                Priority::Normal,
-            )
-            .unwrap();
-        while svc.stats().queue_depth > 0 {
-            std::thread::yield_now();
-        }
-        let queued = svc.submit(TestJob::plain(1), Priority::Normal).unwrap();
-        let deadline = Duration::from_millis(40);
-        let t0 = Instant::now();
-        let doomed = svc
-            .client()
-            .submit_retry(
-                TestJob::plain(2),
-                SubmitOpts {
-                    priority: Priority::Normal,
-                    deadline: Some(deadline),
-                },
-                RetryPolicy {
-                    attempts: 1_000,
-                    base_backoff: Duration::from_millis(4),
-                    max_backoff: Duration::from_millis(8),
-                },
-            )
-            .expect("deadline overshoot resolves a ticket, not an error");
-        let waited = t0.elapsed();
-        // With per-attempt re-anchoring (the bug) this retried for the
-        // full 1000-attempt schedule; with one absolute deadline it
-        // gives up within roughly the deadline itself.
-        assert!(
-            waited < deadline + Duration::from_millis(500),
-            "retry loop outlived its deadline: {waited:?}"
-        );
-        let r = doomed.wait().unwrap();
-        assert_eq!(r.outcome, Outcome::TimedOut);
-        assert_eq!(r.exec_ns, 0);
-        gate_tx.send(()).unwrap();
-        for t in [blocker, queued] {
-            assert!(matches!(t.wait().unwrap().outcome, Outcome::Done(_)));
-        }
-        let stats = svc.shutdown();
-        assert_eq!(stats.timed_out, 1);
-        assert!(stats.retried >= 1, "must have backed off at least once");
-        assert_eq!(
-            stats.submitted,
-            stats.served + stats.cancelled + stats.rejected + stats.timed_out
-        );
-    }
-
-    /// Regression (PR 10): an inverted ceiling (`max_backoff <
-    /// base_backoff`) used to shrink every retry's sleep below the
-    /// configured floor via the bare `min`. The floor now wins, and the
-    /// retry sequence still lands.
-    #[test]
-    fn submit_retry_survives_inverted_backoff_ceiling() {
-        let svc: SimService<TestJob> = SimService::start(ServiceConfig {
-            workers: 1,
-            queue_capacity: 1,
-            backpressure: Backpressure::Reject {
-                retry_after: Duration::from_micros(100),
-            },
-            ..ServiceConfig::default()
-        });
-        let (gate_tx, gate_rx) = ch::bounded(1);
-        let blocker = svc
-            .submit(
-                TestJob {
-                    id: 0,
-                    gate: Some(gate_rx),
-                    done: None,
-                },
-                Priority::Normal,
-            )
-            .unwrap();
-        while svc.stats().queue_depth > 0 {
-            std::thread::yield_now();
-        }
-        let queued = svc.submit(TestJob::plain(1), Priority::Normal).unwrap();
-        let client = svc.client();
-        let retrier = std::thread::spawn(move || {
-            client.submit_retry(
-                TestJob::plain(2),
-                SubmitOpts::default(),
-                RetryPolicy {
-                    attempts: 500,
-                    base_backoff: Duration::from_millis(2),
-                    max_backoff: Duration::from_millis(1), // inverted
-                },
-            )
-        });
-        while svc.stats().rejected == 0 {
-            std::thread::yield_now();
-        }
-        gate_tx.send(()).unwrap();
-        let c = retrier.join().unwrap().expect("retry must land");
-        for (t, want) in [(blocker, 0), (queued, 1), (c, 2)] {
-            assert_eq!(t.wait().unwrap().outcome, Outcome::Done(want));
-        }
-        let stats = svc.shutdown();
-        assert_eq!(stats.served, 3);
         assert_eq!(
             stats.submitted,
             stats.served + stats.cancelled + stats.rejected + stats.timed_out

@@ -7,7 +7,7 @@
 //! `#[derive(Serialize)]` / `#[derive(Deserialize)]` macros (re-exported
 //! from the sibling `serde_derive` shim) generate field-by-field impls
 //! with the same externally-tagged representation real serde defaults
-//! to, so JSON emitted and consumed by `bench`/`experiments` keeps its
+//! to, so JSON emitted and consumed by `bench`/`repro` keeps its
 //! shape — swapping in the real crates is a `Cargo.toml` change, not a
 //! code change.
 

@@ -313,7 +313,6 @@ fn shim_versions() -> Vec<String> {
         shim!("serde"),
         shim!("serde_json"),
         shim!("crossbeam"),
-        shim!("parking_lot"),
         shim!("proptest"),
         shim!("criterion"),
     ];
@@ -1582,9 +1581,10 @@ fn accept_mode(args: &Args) -> i32 {
     }
 }
 
-/// Closed-loop comparison: the same trial population through the service
-/// (saturated submission) and through `run_many`, with byte-identical
-/// rows required on every repetition. Both sides run three times and the
+/// Closed-loop comparison: the same trial population through the
+/// long-lived load service (saturated submission) and through `run_many`
+/// — which starts, fills and shuts down a service sized to the batch on
+/// every call — with byte-identical rows required on every repetition. Both sides run three times and the
 /// fastest repetition counts — the populations are identical work, so
 /// min-of-reps compares the engines rather than the scheduler's mood.
 /// Returns (service_secs, raw_secs).

@@ -1,13 +1,14 @@
 //! Monte-Carlo trial runner.
 
+use crate::service::{sim_service, SimRequest};
 use crate::spec::{AttackSpec, FaultSpec, Scheme, WorkloadSpec};
 use mpic::baseline::{run_no_coding, run_repetition};
 use mpic::{ArtifactCache, Parallelism, RunOptions, RunScratch, SchemeConfig, Simulation};
 use netgraph::Graph;
 use netsim::attacks::{ScriptRecorder, ScriptStep};
 use netsim::{Adversary, PhaseGeometry};
-use parking_lot::Mutex;
 use serde::Serialize;
+use serve::{Backpressure, Outcome, Priority, ServiceConfig};
 use smallbias::splitmix64;
 
 /// One trial's result row.
@@ -97,13 +98,17 @@ impl Summary {
 /// `budget_fraction × predicted CC` corruptions when the attack spec
 /// carries a fraction, otherwise left uncapped (pattern attacks bound
 /// themselves).
+///
+/// This is the direct, inline path — a fresh cache and scratch, serial
+/// hashing — and the oracle that served and batched trials are compared
+/// against.
 pub fn run_trial(
     workload: WorkloadSpec,
     scheme: Scheme,
     attack: AttackSpec,
     trial_seed: u64,
 ) -> TrialResult {
-    run_trial_with_scratch(workload, scheme, attack, trial_seed, &mut RunScratch::new())
+    run_trial_faulted(workload, scheme, attack, FaultSpec::None, trial_seed)
 }
 
 /// [`run_trial`] with a fault schedule injected alongside the attack.
@@ -114,54 +119,15 @@ pub fn run_trial_faulted(
     fault: FaultSpec,
     trial_seed: u64,
 ) -> TrialResult {
-    run_trial_faulted_with_scratch(
+    run_trial_serviced(
         workload,
         scheme,
         attack,
         fault,
         trial_seed,
         &mut RunScratch::new(),
-    )
-}
-
-/// [`run_trial`] reusing a caller-owned [`RunScratch`], so a worker
-/// running many trials pays the per-chunk buffers once instead of per
-/// trial. Outcomes are identical to `run_trial`.
-pub fn run_trial_with_scratch(
-    workload: WorkloadSpec,
-    scheme: Scheme,
-    attack: AttackSpec,
-    trial_seed: u64,
-    scratch: &mut RunScratch,
-) -> TrialResult {
-    run_trial_faulted_with_scratch(
-        workload,
-        scheme,
-        attack,
-        FaultSpec::None,
-        trial_seed,
-        scratch,
-    )
-}
-
-/// [`run_trial_faulted`] reusing a caller-owned [`RunScratch`].
-pub fn run_trial_faulted_with_scratch(
-    workload: WorkloadSpec,
-    scheme: Scheme,
-    attack: AttackSpec,
-    fault: FaultSpec,
-    trial_seed: u64,
-    scratch: &mut RunScratch,
-) -> TrialResult {
-    run_trial_inner(
-        workload,
-        scheme,
-        &attack,
-        fault,
-        trial_seed,
-        scratch,
         Parallelism::Serial,
-        None,
+        &ArtifactCache::new(),
     )
     .0
 }
@@ -186,52 +152,7 @@ pub fn run_trial_serviced(
     parallelism: Parallelism,
     cache: &ArtifactCache,
 ) -> (TrialResult, bool) {
-    run_trial_inner(
-        workload,
-        scheme,
-        &attack,
-        fault,
-        trial_seed,
-        scratch,
-        parallelism,
-        Some(cache),
-    )
-}
-
-/// Per-trial seed of `run_many(base_seed, …)`'s trial `i` (public so load
-/// drivers can replay the exact same trial population through a service).
-pub fn derive_trial_seed(base_seed: u64, i: usize) -> u64 {
-    trial_seed(base_seed, i)
-}
-
-/// The full trial pipeline, with the scheme's intra-trial [`Parallelism`]
-/// chosen by the caller and an optional shared [`ArtifactCache`].
-/// Byte-identical outcomes across all settings: the parallel hash paths
-/// shard deterministically, and cached statics are interchangeable with
-/// freshly compiled ones. Returns the row plus the all-lookups-hit flag
-/// (always `false` without a cache).
-#[allow(clippy::too_many_arguments)]
-fn run_trial_inner(
-    workload: WorkloadSpec,
-    scheme: Scheme,
-    attack: &AttackSpec,
-    fault: FaultSpec,
-    trial_seed: u64,
-    scratch: &mut RunScratch,
-    parallelism: Parallelism,
-    cache: Option<&ArtifactCache>,
-) -> (TrialResult, bool) {
     let w = workload.build(trial_seed.wrapping_mul(0x9e37_79b9) | 1);
-    // Without a shared cache, compile into a private one — identical
-    // artifacts (compilation is deterministic), no reuse.
-    let private;
-    let (cache, shared) = match cache {
-        Some(c) => (c, true),
-        None => {
-            private = ArtifactCache::new();
-            (&private, false)
-        }
-    };
     match scheme {
         Scheme::NoCoding | Scheme::Repetition(_) => {
             let g = w.graph().clone();
@@ -254,7 +175,7 @@ fn run_trial_inner(
                 simulation: rounds.max(1) * rep as u64,
                 rewind: 1,
             };
-            let budget = attack_budget(attack, cc_predict);
+            let budget = attack_budget(&attack, cc_predict);
             let adversary = attack.build(&g, geometry, cc_predict, rounds * rep as u64, trial_seed);
             let out = match scheme {
                 Scheme::NoCoding => run_no_coding(&*w, proto, adversary, budget),
@@ -281,7 +202,7 @@ fn run_trial_inner(
                 stalled_iterations: 0,
                 rewind_wave_depth: 0,
             };
-            (row, shared && hit)
+            (row, hit)
         }
         _ => {
             let g = w.graph().clone();
@@ -308,7 +229,7 @@ fn run_trial_inner(
             if !matches!(fault, FaultSpec::None) {
                 sim.set_fault_plan(fault.build(&g, predicted_rounds, trial_seed));
             }
-            let budget = attack_budget(attack, predicted_cc);
+            let budget = attack_budget(&attack, predicted_cc);
             let adversary = attack.build(&g, geometry, predicted_cc, predicted_rounds, trial_seed);
             let opts = RunOptions {
                 noise_budget: budget,
@@ -333,9 +254,15 @@ fn run_trial_inner(
                 stalled_iterations: out.instrumentation.stalled_iterations,
                 rewind_wave_depth: out.instrumentation.rewind_wave_depth,
             };
-            (row, shared && hint_hit && statics_hit)
+            (row, hint_hit && statics_hit)
         }
     }
+}
+
+/// Per-trial seed of `run_many(base_seed, …)`'s trial `i` (public so load
+/// drivers can replay the exact same trial population through a service).
+pub fn derive_trial_seed(base_seed: u64, i: usize) -> u64 {
+    trial_seed(base_seed, i)
 }
 
 /// One recorded trial: the outcome row of a hand-built (non-spec)
@@ -475,23 +402,14 @@ fn trial_seed(base_seed: u64, i: usize) -> u64 {
     splitmix64(&mut s)
 }
 
-/// The run's total thread budget: the `SIM_THREADS` environment override
-/// when set, otherwise the machine's available parallelism.
-fn thread_budget() -> usize {
-    mpic::sim_threads_env().unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    })
-}
-
 /// Runs `trials` trials concurrently and aggregates.
 ///
-/// Threading is two-level: the total budget (the `SIM_THREADS` override
-/// when set, otherwise the machine's available parallelism) is split
-/// between **inter-trial** workers — scoped threads claiming trial
-/// indices off a shared cursor, one reusable [`RunScratch`] each — and
-/// **intra-trial** parallelism handed to each trial's simulation as
+/// `run_many` is a closed-loop client of a [`serve::SimService`] sized to
+/// the batch: the total thread budget ([`Parallelism::Auto`], i.e. the
+/// `SIM_THREADS` override when set, otherwise the machine's available
+/// parallelism) is split between **inter-trial** service workers — one
+/// reusable [`RunScratch`] each, one [`ArtifactCache`] between them —
+/// and **intra-trial** parallelism handed to each trial's simulation as
 /// [`Parallelism::Threads`], which shards the per-link hash work inside
 /// a single run. Many short trials → all budget goes to workers; fewer
 /// trials than budget → the leftover threads speed up each trial.
@@ -500,6 +418,11 @@ fn thread_budget() -> usize {
 ///
 /// Per-trial seeds come from a splitmix64-style mix of
 /// `(base_seed, index)`, so different base seeds share no trial streams.
+///
+/// # Panics
+///
+/// Panics if a trial panics (the service contains it as
+/// [`Outcome::Failed`]; this re-raises it).
 pub fn run_many(
     workload: WorkloadSpec,
     scheme: Scheme,
@@ -521,47 +444,40 @@ pub fn run_many_faulted(
     trials: usize,
     base_seed: u64,
 ) -> (Summary, Vec<TrialResult>) {
-    let results = Mutex::new(vec![None; trials]);
-    let budget = thread_budget();
-    let threads = budget.min(trials.max(1));
-    let intra = Parallelism::Threads((budget / threads.max(1)).max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    // One artifact cache for the whole run: structural compilation
-    // (chunk layouts, spanning tree, flag schedules) happens once per
-    // distinct (workload structure, chunking), not once per trial.
-    let cache = ArtifactCache::new();
-    crossbeam::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| {
-                // One scratch per worker: chunk/frame buffers are reused
-                // across every trial the worker claims.
-                let mut scratch = RunScratch::new();
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= trials {
-                        break;
-                    }
-                    let (r, _) = run_trial_inner(
-                        workload,
-                        scheme,
-                        &attack,
-                        fault,
-                        trial_seed(base_seed, i),
-                        &mut scratch,
-                        intra,
-                        Some(&cache),
-                    );
-                    results.lock()[i] = Some(r);
-                }
-            });
-        }
-    })
-    .expect("trial thread panicked");
-    let rows: Vec<TrialResult> = results
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("missing trial"))
+    let budget = Parallelism::Auto.resolve();
+    let workers = budget.min(trials.max(1));
+    let svc = sim_service(ServiceConfig {
+        workers,
+        queue_capacity: trials.max(1),
+        backpressure: Backpressure::Block,
+        parallelism: Parallelism::Threads(budget / workers),
+    });
+    let tickets: Vec<_> = (0..trials)
+        .map(|i| {
+            let req = SimRequest {
+                workload,
+                scheme,
+                attack: attack.clone(),
+                fault,
+                seed: trial_seed(base_seed, i),
+            };
+            svc.submit(req, Priority::Normal)
+                .expect("a running service accepts blocking submits")
+        })
         .collect();
+    // Collect newest-first: every reply buffers in its own channel, so
+    // waiting on the last-queued trial first sleeps once for the batch
+    // instead of waking per reply.
+    let mut rows: Vec<TrialResult> = tickets
+        .into_iter()
+        .rev()
+        .map(|t| match t.wait().map(|r| r.outcome) {
+            Ok(Outcome::Done(row)) => row,
+            other => panic!("trial did not complete: {other:?}"),
+        })
+        .collect();
+    rows.reverse();
+    svc.shutdown();
     (Summary::from_trials(&rows), rows)
 }
 
@@ -606,6 +522,24 @@ mod tests {
         assert_eq!(s.trials, 4);
         assert_eq!(rows.len(), 4);
         assert!((s.success_rate - 1.0).abs() < 1e-12);
+        let (s, rows) = run_many(w, Scheme::A, AttackSpec::None, 0, 10);
+        assert_eq!(s.trials, 0);
+        assert!(rows.is_empty());
+    }
+
+    /// A trial that panics on a service worker comes back
+    /// `Outcome::Failed`; `run_many` must re-raise it, not drop the row.
+    #[test]
+    #[should_panic(expected = "trial did not complete")]
+    fn run_many_reraises_a_trial_panic() {
+        let w = WorkloadSpec::TokenRing { n: 4, laps: 2 };
+        // A link id past the graph's links panics inside the adversary.
+        let steps = vec![ScriptStep {
+            round: 0,
+            lid: usize::MAX,
+            e: 1,
+        }];
+        run_many(w, Scheme::A, AttackSpec::Scripted { steps }, 2, 10);
     }
 
     /// Adjacent base seeds must not share per-trial seeds (the old

@@ -1,6 +1,7 @@
 //! Experiment harness: declarative trial specs, Monte-Carlo runs
-//! (crossbeam-parallel), the simulation-service job, and the artifact
-//! layer behind every table/figure in EXPERIMENTS.md.
+//! (served by the `serve` crate's worker pool), the simulation-service
+//! job, and the artifact layer behind every table/figure in
+//! EXPERIMENTS.md.
 //!
 //! The crate's vocabulary, bottom-up:
 //!
@@ -11,14 +12,16 @@
 //!   — together with one `u64` seed — to rebuild a simulation
 //!   bit-for-bit anywhere.
 //! - A **trial** ([`run_trial`]) is one seeded simulation of a spec
-//!   triple, returning a [`TrialResult`] outcome row. A **job** is a
-//!   batch of trials ([`run_many`]) fanned across crossbeam scoped
-//!   workers, each worker deriving its own seed stream via
-//!   [`derive_trial_seed`]; results fold into a [`Summary`].
-//! - A **service request** ([`SimRequest`]) is the same spec triple
-//!   shipped to the `serve` crate's resident worker pool instead of run
-//!   inline — [`sim_service`] wires the two crates together, and
-//!   [`run_trial_serviced`] round-trips one trial through it.
+//!   triple, run inline, returning a [`TrialResult`] outcome row.
+//! - A **service request** ([`SimRequest`]) is the same spec triple plus
+//!   a seed, shipped to the `serve` crate's resident worker pool —
+//!   [`sim_service`] wires the two crates together, and a worker runs
+//!   the request through [`run_trial_serviced`] with its pooled scratch
+//!   and the service's shared artifact cache.
+//! - A **batch** ([`run_many`]) is a closed-loop client of one such
+//!   service sized to the batch: trial `i` is submitted with seed
+//!   [`derive_trial_seed`]`(base, i)`, and the rows, in trial order,
+//!   fold into a [`Summary`].
 //! - A **report** ([`report`]) is the artifact layer: markdown tables,
 //!   the `out/<tier>-<sha>/manifest.json` provenance record, and the
 //!   outcome-exact / timing-tolerant expectation diffing behind
@@ -39,8 +42,7 @@ pub mod spec;
 
 pub use harness::{
     derive_trial_seed, run_many, run_many_faulted, run_trial, run_trial_faulted,
-    run_trial_faulted_with_scratch, run_trial_recording, run_trial_serviced,
-    run_trial_with_scratch, RecordedTrial, Summary, TrialResult,
+    run_trial_recording, run_trial_serviced, RecordedTrial, Summary, TrialResult,
 };
 pub use search::{
     record_seed, run_search, targets, SearchConfig, SearchMetric, SearchTarget, TargetReport,

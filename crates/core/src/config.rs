@@ -145,9 +145,10 @@ impl Parallelism {
     }
 }
 
-/// The `SIM_THREADS` override, if set to a positive integer. Shared by
-/// both thread pools: `Parallelism::Auto` here and `bench::run_many`'s
-/// inter-trial worker budget.
+/// The `SIM_THREADS` override, if set to a positive integer. Read through
+/// [`Parallelism::resolve`] for the one thread-budget rule (`Auto`):
+/// the intra-trial pool, `serve`'s default worker count and
+/// `bench::run_many`'s worker × intra-trial split all resolve it there.
 pub fn sim_threads_env() -> Option<usize> {
     std::env::var("SIM_THREADS")
         .ok()

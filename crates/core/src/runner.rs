@@ -195,10 +195,11 @@ impl Default for RunOptions {
 /// the per-chunk allocation arena.
 ///
 /// [`Simulation::run`] creates one internally;
-/// [`Simulation::run_with_scratch`] lets a trial driver (`bench`'s
-/// `run_many`) carry the same scratch across trials so repeated runs stop
-/// allocating per chunk. A scratch is topology-agnostic: it resizes itself
-/// to whatever graph the next run uses.
+/// [`Simulation::run_with_scratch`] lets a trial driver (each `serve`
+/// worker, which `bench::run_many` batches also run on) carry the same
+/// scratch across trials so repeated runs stop allocating per chunk. A
+/// scratch is topology-agnostic: it resizes itself to whatever graph the
+/// next run uses.
 #[derive(Default)]
 pub struct RunScratch {
     frames: Option<Frames>,

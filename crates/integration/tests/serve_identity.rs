@@ -137,7 +137,8 @@ fn baselines_byte_identity() {
 
 /// A `run_many` population replayed through the service row by row: the
 /// public seed derivation plus the service reproduces the exact rows
-/// (this is what `repro load --compare-raw` asserts at load).
+/// (this is what `repro load --compare-raw` asserts at load), and each
+/// row equals the direct inline trial at its derived seed.
 #[test]
 fn run_many_population_through_service() {
     let workload = WorkloadSpec::TokenRing { n: 4, laps: 2 };
@@ -145,6 +146,10 @@ fn run_many_population_through_service() {
     let attack = AttackSpec::Iid { fraction: 0.002 };
     let trials = 12;
     let (_, raw_rows) = run_many(workload, scheme, attack.clone(), trials, 2024);
+    for (i, row) in raw_rows.iter().enumerate() {
+        let direct = run_trial(workload, scheme, attack.clone(), derive_trial_seed(2024, i));
+        assert_eq!(*row, direct, "run_many row {i} differs from run_trial");
+    }
 
     let svc = sim_service(ServiceConfig {
         workers: 3,

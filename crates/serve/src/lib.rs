@@ -15,6 +15,12 @@
 //! (`bench::SimRequest`) lives in the `bench` crate, which owns the
 //! workload/scheme/attack vocabulary.
 //!
+//! This is the workspace's one multi-trial executor: `bench::run_many`
+//! is a closed-loop client that starts a service sized to its batch,
+//! submits every trial, collects the replies and shuts it down. Only
+//! the single-trial `bench::run_trial` runs inline, as the oracle the
+//! `serve_identity` suite compares served rows against.
+//!
 //! ## Determinism
 //!
 //! A job's output must depend only on the job itself — never on which
@@ -46,7 +52,10 @@
 //!    [`Ticket::cancel`] revokes a not-yet-started request, which
 //!    surfaces as [`Outcome::Cancelled`].
 //! 4. [`SimService::shutdown`] drains in-flight work and folds worker
-//!    counters into [`ServiceStats`].
+//!    counters into [`ServiceStats`]. It wakes idle workers at once
+//!    (by disconnecting a stop channel every worker selects on), so
+//!    shutting down an idle service costs a thread join, not a poll
+//!    interval — which is what makes a per-batch service cheap.
 //!
 //! ## Robustness
 //!
@@ -147,8 +156,9 @@ pub enum Backpressure {
 /// Service construction parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads. `0` means the `SIM_THREADS` override when set,
-    /// otherwise the machine's available parallelism.
+    /// Worker threads. `0` means [`Parallelism::Auto`]'s budget: the
+    /// `SIM_THREADS` override when set, otherwise the machine's
+    /// available parallelism.
     pub workers: usize,
     /// Capacity of each priority lane's queue.
     pub queue_capacity: usize,
@@ -353,8 +363,6 @@ struct Shared {
     counters: Counters,
     /// Cleared first on shutdown: submit fails fast.
     accepting: AtomicBool,
-    /// Set on shutdown: workers exit once both lanes are empty.
-    draining: AtomicBool,
 }
 
 struct Envelope<J: Job> {
@@ -495,7 +503,10 @@ pub struct SimService<J: Job> {
     high_rx: Receiver<Envelope<J>>,
     normal_rx: Receiver<Envelope<J>>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    shut: bool,
+    /// The only sender of the workers' stop channel; nothing is ever
+    /// sent on it. Shutdown drops it, and the disconnect wakes every
+    /// idle worker at once. `None` once shut down.
+    stop: Option<Sender<()>>,
 }
 
 impl<J: Job> SimService<J> {
@@ -504,29 +515,26 @@ impl<J: Job> SimService<J> {
         let workers = if cfg.workers > 0 {
             cfg.workers
         } else {
-            mpic::sim_threads_env().unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            })
+            Parallelism::Auto.resolve()
         };
         let (high_tx, high_rx) = bounded::<Envelope<J>>(cfg.queue_capacity.max(1));
         let (normal_tx, normal_rx) = bounded::<Envelope<J>>(cfg.queue_capacity.max(1));
+        let (stop_tx, stop_rx) = bounded::<()>(1);
         let shared = Arc::new(Shared {
             cache: ArtifactCache::new(),
             counters: Counters::default(),
             accepting: AtomicBool::new(true),
-            draining: AtomicBool::new(false),
         });
         let handles = (0..workers)
             .map(|w| {
                 let high = high_rx.clone();
                 let normal = normal_rx.clone();
+                let stop = stop_rx.clone();
                 let shared = Arc::clone(&shared);
                 let parallelism = cfg.parallelism;
                 std::thread::Builder::new()
                     .name(format!("sim-worker-{w}"))
-                    .spawn(move || worker_loop(w, &high, &normal, &shared, parallelism))
+                    .spawn(move || worker_loop(w, &high, &normal, &stop, &shared, parallelism))
                     .expect("spawn service worker")
             })
             .collect();
@@ -540,7 +548,7 @@ impl<J: Job> SimService<J> {
             high_rx,
             normal_rx,
             workers: handles,
-            shut: false,
+            stop: Some(stop_tx),
         }
     }
 
@@ -586,15 +594,14 @@ impl<J: Job> SimService<J> {
     pub fn shutdown(mut self) -> ServiceStats {
         self.shutdown_inner();
         let stats = self.stats();
-        // Drop proceeds with `shut = true`, so no double teardown.
+        // Drop finds `stop` taken, so no double teardown.
         stats
     }
 
     fn shutdown_inner(&mut self) {
-        if self.shut {
+        let Some(stop) = self.stop.take() else {
             return;
-        }
-        self.shut = true;
+        };
         let shared = &self.client.shared;
         shared.accepting.store(false, Ordering::SeqCst);
         // Wait for every in-flight submit — including ones blocked in a
@@ -605,7 +612,9 @@ impl<J: Job> SimService<J> {
         while shared.counters.inflight.load(Ordering::SeqCst) > 0 {
             std::thread::yield_now();
         }
-        shared.draining.store(true, Ordering::SeqCst);
+        // Disconnect the stop channel: every idle worker wakes now, and
+        // each exits once it finds both lanes empty.
+        drop(stop);
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -634,15 +643,19 @@ impl<J: Job> Drop for SimService<J> {
     }
 }
 
-/// How long an idle worker waits before re-checking the draining flag.
-/// Arrivals wake workers immediately through the channel `Select`; this
-/// bounds only shutdown latency while clients still hold live senders.
+/// Upper bound on one idle wait. Arrivals and shutdown both wake
+/// workers immediately through the channel `Select` (a lane message, or
+/// the stop channel's disconnect), so this is only a backstop re-check;
+/// it bounds neither request latency nor shutdown.
 const IDLE_POLL: Duration = Duration::from_millis(20);
 
+/// Serves both lanes until shutdown. `stop` never carries a message; it
+/// disconnects when [`SimService`] drops its only sender.
 fn worker_loop<J: Job>(
     worker: usize,
     high: &Receiver<Envelope<J>>,
     normal: &Receiver<Envelope<J>>,
+    stop: &Receiver<()>,
     shared: &Shared,
     parallelism: Parallelism,
 ) {
@@ -650,31 +663,19 @@ fn worker_loop<J: Job>(
     let mut sel = Select::new();
     sel.recv(high);
     sel.recv(normal);
+    sel.recv(stop);
     loop {
+        // Read the stop state *before* the lanes: shutdown disconnects
+        // only after every accepted submit has landed, so a worker that
+        // saw the disconnect and then finds both lanes empty leaves no
+        // request behind.
+        let stopping = stop.try_recv() == Err(TryRecvError::Disconnected);
         // Strict priority: drain the high lane before touching normal.
-        // The recv errors double as the disconnect probe — never probe
-        // with a second try_recv, which could consume (and then drop) an
-        // envelope that raced in between the calls.
-        let high_err = match high.try_recv() {
-            Ok(env) => {
-                serve_one(worker, env, &mut scratch, shared, parallelism);
-                continue;
-            }
-            Err(e) => e,
-        };
-        let normal_err = match normal.try_recv() {
-            Ok(env) => {
-                serve_one(worker, env, &mut scratch, shared, parallelism);
-                continue;
-            }
-            Err(e) => e,
-        };
-        // Both lanes empty right now. Exit when draining, or when both
-        // lanes are disconnected (all submitters gone).
-        if shared.draining.load(Ordering::SeqCst) {
-            break;
+        if let Ok(env) = high.try_recv().or_else(|_| normal.try_recv()) {
+            serve_one(worker, env, &mut scratch, shared, parallelism);
+            continue;
         }
-        if high_err == TryRecvError::Disconnected && normal_err == TryRecvError::Disconnected {
+        if stopping {
             break;
         }
         let _ = sel.ready_timeout(IDLE_POLL);
@@ -1059,6 +1060,29 @@ mod tests {
         }
         assert_eq!(stats.queue_depth, 0);
         assert_eq!(stats.served + stats.cancelled, stats.submitted);
+    }
+
+    /// Shutting down an idle service must wake its parked worker rather
+    /// than wait out an `IDLE_POLL` interval: `run_many` starts and
+    /// stops one service per batch, so a poll-bound shutdown would tax
+    /// every call. Fastest of 5, to ride out scheduler noise.
+    #[test]
+    fn idle_shutdown_does_not_wait_for_the_poll() {
+        let fastest = (0..5)
+            .map(|i| {
+                let svc = single_worker();
+                let t = svc.submit(TestJob::plain(i), Priority::Normal).unwrap();
+                assert_eq!(t.wait().unwrap().outcome, Outcome::Done(i));
+                let t0 = Instant::now();
+                assert_eq!(svc.shutdown().served, 1);
+                t0.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(
+            fastest < IDLE_POLL / 2,
+            "idle shutdown took {fastest:?} (poll interval {IDLE_POLL:?})"
+        );
     }
 
     #[test]

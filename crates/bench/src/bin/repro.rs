@@ -1556,29 +1556,60 @@ fn accept_mode(args: &Args) -> i32 {
         .map(PathBuf::from)
         .unwrap_or_else(|| latest_quick_run(args.out()));
     let expected = Path::new(&args.expected);
-    std::fs::create_dir_all(expected).expect("cannot create expectation dir");
-    let mut copied = 0usize;
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&fresh)
-        .expect("cannot read fresh run dir")
+    match bless(&fresh, expected) {
+        Ok(copied) => {
+            println!(
+                "blessed {copied} sweep file(s) from {} into {}",
+                fresh.display(),
+                expected.display()
+            );
+            0
+        }
+        Err(e) => {
+            eprintln!("repro accept: {e}");
+            2
+        }
+    }
+}
+
+/// Copies every `*.jsonl` of `fresh` into `expected`, or nothing. All
+/// sources are read before `expected` is touched, and the copies are
+/// staged under temporary names and only renamed into place once every
+/// one of them was written, so an unreadable or empty run dir, or a
+/// failed write, leaves `expected` as it was. Returns the file count.
+fn bless(fresh: &Path, expected: &Path) -> Result<usize, String> {
+    let entries = std::fs::read_dir(fresh)
+        .map_err(|e| format!("cannot read fresh run dir {}: {e}", fresh.display()))?;
+    let mut files: Vec<PathBuf> = entries
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
         .collect();
+    if files.is_empty() {
+        return Err(format!("no *.jsonl in {}", fresh.display()));
+    }
     files.sort();
-    for f in files {
-        let name = f.file_name().expect("file entry has a name");
-        std::fs::copy(&f, expected.join(name)).expect("copy expectation");
-        copied += 1;
+    let mut sources = Vec::with_capacity(files.len());
+    for f in &files {
+        let bytes = std::fs::read(f).map_err(|e| format!("cannot read {}: {e}", f.display()))?;
+        let name = f.file_name().expect("read_dir entry has a name");
+        sources.push((expected.join(name), bytes));
     }
-    println!(
-        "blessed {copied} sweep file(s) from {} into {}",
-        fresh.display(),
-        expected.display()
-    );
-    if copied == 0 {
-        2
-    } else {
-        0
+    std::fs::create_dir_all(expected)
+        .map_err(|e| format!("cannot create {}: {e}", expected.display()))?;
+    let staged = |dst: &Path| dst.with_extension("jsonl.accept");
+    for (i, (dst, bytes)) in sources.iter().enumerate() {
+        if let Err(e) = std::fs::write(staged(dst), bytes) {
+            for (done, _) in &sources[..=i] {
+                let _ = std::fs::remove_file(staged(done));
+            }
+            return Err(format!("cannot write {}: {e}", dst.display()));
+        }
     }
+    for (dst, _) in &sources {
+        std::fs::rename(staged(dst), dst)
+            .map_err(|e| format!("cannot move {} into place: {e}", dst.display()))?;
+    }
+    Ok(sources.len())
 }
 
 /// Closed-loop comparison: the same trial population through the
@@ -1824,6 +1855,33 @@ mod tests {
             let err = parse(case).expect_err(&format!("{case:?} must be rejected"));
             assert!(!err.is_empty(), "{case:?}: empty error message");
         }
+    }
+
+    /// `accept` on a missing, an empty or an unreadable run dir exits 2
+    /// and leaves the expectation dir uncreated.
+    #[test]
+    fn accept_rejects_bad_fresh_dir_and_writes_nothing() {
+        let root = std::env::temp_dir().join(format!("repro-accept-{}", std::process::id()));
+        let empty = root.join("empty");
+        let unreadable = root.join("unreadable");
+        std::fs::create_dir_all(&empty).unwrap();
+        // A directory named like a sweep file: listed, but not readable
+        // as one.
+        std::fs::create_dir_all(unreadable.join("sweep.jsonl")).unwrap();
+        let expected = root.join("expected");
+        for fresh in [root.join("missing"), empty, unreadable] {
+            let args = parse(&[
+                "accept",
+                "--fresh",
+                fresh.to_str().unwrap(),
+                "--expected",
+                expected.to_str().unwrap(),
+            ])
+            .expect("valid");
+            assert_eq!(accept_mode(&args), 2, "{}", fresh.display());
+            assert!(!expected.exists(), "{}: wrote expected/", fresh.display());
+        }
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -56,7 +56,7 @@ use crate::transcript::{sym_delta, LinkTranscript, TranscriptHasher, SKETCH_BITS
 use netgraph::{DirectedLink, EdgeId, Graph, LinkId, NodeId};
 use netsim::{
     AdaptiveView, Adversary, Corruption, EdgeMpView, FlagView, FrameBatch, MpSideView, NetStats,
-    Network, PhaseGeometry, PhasePos, RoundFrame,
+    Network, PhaseGeometry, PhasePos, RoundFrame, Sends,
 };
 use protocol::reference::{run_reference, ReferenceRun};
 use protocol::{ChunkRecord, ChunkedParty, ChunkedProtocol, SlotKind, Sym, Workload};
@@ -1517,7 +1517,8 @@ impl NbrSet {
 /// Pulling this out of [`SimParty`] makes the per-link phases (hash
 /// preparation, chunk commits) shardable: a worker thread owns a
 /// contiguous `LinkId` range and touches nothing outside its shard, so
-/// [`crossbeam::par_chunks_mut`] over the lane vector is deterministic.
+/// [`crossbeam::WorkerPool::run_chunks`] over the lane vector is
+/// deterministic.
 struct LinkLane {
     t: LinkTranscript,
     mp: MpState,
@@ -1733,7 +1734,7 @@ impl AdaptiveView for OracleView<'_, '_> {
         self.lanes[2 * edge].t.chunks()
     }
 
-    fn collision_corruption(&self, edge: EdgeId, sends: &RoundFrame) -> Option<Corruption> {
+    fn collision_corruption(&self, edge: EdgeId, sends: Sends<'_>) -> Option<Corruption> {
         // Seed visibility: Algorithm C's CRS is hidden from the adversary.
         if let RandomnessMode::Crs {
             adversary_knows_seeds: false,

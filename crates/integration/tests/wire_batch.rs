@@ -5,9 +5,10 @@
 //! * property tests that `FrameBatch ↔ RoundFrame` round-trips are
 //!   lossless on arbitrary topologies, batch widths and send patterns;
 //! * the engine delivers identically through `step_rounds_into` (one
-//!   call) and N× `step_into` (sequential) under identical adversaries —
-//!   both for batch-aware adversaries (the fast path) and for adversaries
-//!   that only implement the per-round interface (the fallback path);
+//!   call) and N× `step_into` (sequential) under identical adversaries,
+//!   including a scripted adversary that draws its budget down
+//!   mid-batch, a composed `Pair`, and a `ScriptRecorder` whose two
+//!   recordings must agree;
 //! * full simulations are **byte-identical** between
 //!   `WireMode::Batched` and `WireMode::Reference` across schemes
 //!   (A/B/C), workloads, and adversaries — including noise aimed directly
@@ -16,8 +17,10 @@
 
 use mpic::{RunOptions, SchemeConfig, Simulation, WireMode};
 use netgraph::{topology, Graph};
-use netsim::attacks::{BurstLink, IidNoise, PhaseTargeted, SeedAwareCollision};
-use netsim::{AdaptiveView, Adversary, Corruption, FrameBatch, Network, PhaseKind, RoundFrame};
+use netsim::attacks::{
+    BurstLink, IidNoise, Pair, PhaseTargeted, ScriptRecorder, ScriptedAdversary, SeedAwareCollision,
+};
+use netsim::{Adversary, FrameBatch, Network, PhaseKind, RoundFrame};
 use proptest::prelude::*;
 use protocol::workloads::{Gossip, TokenRing};
 use protocol::Workload;
@@ -112,8 +115,8 @@ proptest! {
         }
     }
 
-    /// One batched engine call equals N sequential calls — batch-aware
-    /// adversary (IidNoise), including stats and budget draw-down.
+    /// One batched engine call equals N sequential calls under i.i.d.
+    /// noise, including stats and budget draw-down.
     #[test]
     fn step_rounds_into_matches_sequential_fast_path(
         which in 0usize..5,
@@ -130,46 +133,37 @@ proptest! {
         )?;
     }
 
-    /// Same equivalence through the engine's per-round fallback (an
-    /// adversary that only implements the bit-serial interface).
+    /// The same equivalence for the adversaries whose per-round state
+    /// matters most: a scripted adversary whose script outruns the budget
+    /// of 10 (its own draw-down runs mid-batch), a `Pair` of an i.i.d.
+    /// stream and a burst, and a `ScriptRecorder` around i.i.d. noise,
+    /// whose batched and sequential recordings must be the same script.
     #[test]
-    fn step_rounds_into_matches_sequential_fallback(
+    fn step_rounds_into_matches_sequential_scripted_pair_recorder(
         which in 0usize..5,
         rounds in 1usize..40,
         seed in 0u64..10_000,
     ) {
         let g = pick_topology(which, seed);
-        assert_batch_equals_sequential(
-            &g,
-            rounds,
-            seed,
-            Box::new(SerialOnly(IidNoise::new(&g, 0.08, seed))),
-            Box::new(SerialOnly(IidNoise::new(&g, 0.08, seed))),
-        )?;
-    }
-}
+        let max_round = 2 * rounds as u64;
+        let scripted = || Box::new(ScriptedAdversary::random(&g, max_round, 30, seed));
+        assert_batch_equals_sequential(&g, rounds, seed, scripted(), scripted())?;
 
-/// Wraps an adversary, hiding its batch implementation so the engine must
-/// take the per-round fallback.
-struct SerialOnly<A>(A);
+        let link = g.link(seed as usize % g.link_count());
+        let start = seed % max_round;
+        let pair = || {
+            Box::new(Pair(
+                Box::new(IidNoise::new(&g, 0.05, seed)),
+                Box::new(BurstLink::new(&g, link, start, rounds as u64)),
+            ))
+        };
+        assert_batch_equals_sequential(&g, rounds, seed, pair(), pair())?;
 
-impl<A: Adversary> Adversary for SerialOnly<A> {
-    fn corrupt(
-        &mut self,
-        round: u64,
-        sends: &RoundFrame,
-        remaining_budget: u64,
-        view: Option<&dyn AdaptiveView>,
-    ) -> Vec<Corruption> {
-        self.0.corrupt(round, sends, remaining_budget, view)
-    }
-
-    fn is_oblivious(&self) -> bool {
-        self.0.is_oblivious()
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
+        let (rec_seq, sink_seq) = ScriptRecorder::new(&g, Box::new(IidNoise::new(&g, 0.08, seed)));
+        let (rec_batch, sink_batch) =
+            ScriptRecorder::new(&g, Box::new(IidNoise::new(&g, 0.08, seed)));
+        assert_batch_equals_sequential(&g, rounds, seed, Box::new(rec_seq), Box::new(rec_batch))?;
+        prop_assert_eq!(&*sink_seq.borrow(), &*sink_batch.borrow());
     }
 }
 
@@ -312,9 +306,8 @@ fn full_sim_identical_burst_across_phases() {
     });
 }
 
-/// The §6.1 seed-aware adaptive hunter (not batch-aware: exercises the
-/// engine's per-round fallback inside the batched phases, and the live
-/// oracle during simulation rounds).
+/// The §6.1 seed-aware adaptive hunter: asked (and idle) on every
+/// batched round, and reading the live oracle during simulation rounds.
 #[test]
 fn full_sim_identical_seed_aware_adaptive() {
     let w = Gossip::new(topology::ring(4), 5, 3);

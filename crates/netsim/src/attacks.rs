@@ -8,10 +8,10 @@
 //!
 //! Attacks that touch specific links resolve them to dense
 //! [`netgraph::LinkId`]s at construction (hence the `&Graph` parameter),
-//! so probing the per-round [`RoundFrame`] is O(1) per link.
+//! so probing a round's [`Sends`] is O(1) per link.
 
-use crate::engine::{AdaptiveView, Adversary, Corruption, RoundCorruption};
-use crate::frame::{FrameBatch, RoundFrame};
+use crate::engine::{AdaptiveView, Adversary, Corruption};
+use crate::frame::Sends;
 use crate::phase::{PhaseGeometry, PhaseKind};
 use netgraph::{DirectedLink, Graph, LinkId};
 use smallbias::Xoshiro256;
@@ -42,60 +42,16 @@ impl Adversary for NoNoise {
     fn corrupt(
         &mut self,
         _: u64,
-        _: &RoundFrame,
+        _: Sends<'_>,
         _: u64,
         _: Option<&dyn AdaptiveView>,
     ) -> Vec<Corruption> {
         Vec::new()
     }
 
-    fn batch_aware(&self) -> bool {
-        true
-    }
-
-    fn corrupt_batch(
-        &mut self,
-        _: u64,
-        _: &FrameBatch,
-        _: u64,
-        _: Option<&dyn AdaptiveView>,
-    ) -> Vec<RoundCorruption> {
-        Vec::new()
-    }
-
     fn name(&self) -> &'static str {
         "none"
     }
-}
-
-/// Shared batch-corruption loop of the sampler-driven attacks: replays
-/// the sequential per-round RNG consumption (round-major `take` over the
-/// link universe) and emits hits only for rounds where `emit` holds —
-/// the one place the byte-identical-to-sequential contract lives for
-/// both [`IidNoise`] and [`PhaseTargeted`].
-fn sampled_batch(
-    links: &[DirectedLink],
-    sampler: &mut GapSampler,
-    sends: &FrameBatch,
-    emit: impl Fn(usize) -> bool,
-) -> Vec<RoundCorruption> {
-    let mut out = Vec::new();
-    for r in 0..sends.rounds() {
-        let emit_round = emit(r);
-        sampler.take(links.len() as u64, |off, e| {
-            if emit_round {
-                let id = off as usize;
-                out.push(RoundCorruption {
-                    round: r,
-                    corruption: Corruption {
-                        link: links[id],
-                        output: additive(sends.get(id, r), e),
-                    },
-                });
-            }
-        });
-    }
-    out
 }
 
 /// Geometric gap sampler: enumerates the *hit* slots of an i.i.d.
@@ -195,7 +151,7 @@ impl Adversary for IidNoise {
     fn corrupt(
         &mut self,
         round: u64,
-        sends: &RoundFrame,
+        sends: Sends<'_>,
         _budget: u64,
         _view: Option<&dyn AdaptiveView>,
     ) -> Vec<Corruption> {
@@ -212,23 +168,6 @@ impl Adversary for IidNoise {
             }
         });
         out
-    }
-
-    fn batch_aware(&self) -> bool {
-        true
-    }
-
-    fn corrupt_batch(
-        &mut self,
-        first_round: u64,
-        sends: &FrameBatch,
-        _budget: u64,
-        _view: Option<&dyn AdaptiveView>,
-    ) -> Vec<RoundCorruption> {
-        let skip = self.skip_before;
-        sampled_batch(&self.links, &mut self.sampler, sends, |r| {
-            first_round + r as u64 >= skip
-        })
     }
 
     fn name(&self) -> &'static str {
@@ -268,7 +207,7 @@ impl Adversary for BurstLink {
     fn corrupt(
         &mut self,
         round: u64,
-        sends: &RoundFrame,
+        sends: Sends<'_>,
         _budget: u64,
         _view: Option<&dyn AdaptiveView>,
     ) -> Vec<Corruption> {
@@ -279,32 +218,6 @@ impl Adversary for BurstLink {
             link: self.link,
             output: additive(sends.get(self.id), 1),
         }]
-    }
-
-    fn batch_aware(&self) -> bool {
-        true
-    }
-
-    fn corrupt_batch(
-        &mut self,
-        first_round: u64,
-        sends: &FrameBatch,
-        _budget: u64,
-        _view: Option<&dyn AdaptiveView>,
-    ) -> Vec<RoundCorruption> {
-        (0..sends.rounds())
-            .filter(|&r| {
-                let round = first_round + r as u64;
-                round >= self.start && round < self.start + self.len
-            })
-            .map(|r| RoundCorruption {
-                round: r,
-                corruption: Corruption {
-                    link: self.link,
-                    output: additive(sends.get(self.id, r), 1),
-                },
-            })
-            .collect()
     }
 
     fn name(&self) -> &'static str {
@@ -343,7 +256,7 @@ impl Adversary for SingleError {
     fn corrupt(
         &mut self,
         round: u64,
-        sends: &RoundFrame,
+        sends: Sends<'_>,
         _budget: u64,
         _view: Option<&dyn AdaptiveView>,
     ) -> Vec<Corruption> {
@@ -354,34 +267,6 @@ impl Adversary for SingleError {
         vec![Corruption {
             link: self.link,
             output: additive(sends.get(self.id), 1),
-        }]
-    }
-
-    fn batch_aware(&self) -> bool {
-        true
-    }
-
-    fn corrupt_batch(
-        &mut self,
-        first_round: u64,
-        sends: &FrameBatch,
-        _budget: u64,
-        _view: Option<&dyn AdaptiveView>,
-    ) -> Vec<RoundCorruption> {
-        if self.fired || self.round < first_round {
-            return Vec::new();
-        }
-        let off = (self.round - first_round) as usize;
-        if off >= sends.rounds() {
-            return Vec::new();
-        }
-        self.fired = true;
-        vec![RoundCorruption {
-            round: off,
-            corruption: Corruption {
-                link: self.link,
-                output: additive(sends.get(self.id, off), 1),
-            },
         }]
     }
 
@@ -425,7 +310,7 @@ impl Adversary for PhaseTargeted {
     fn corrupt(
         &mut self,
         round: u64,
-        sends: &RoundFrame,
+        sends: Sends<'_>,
         _budget: u64,
         _view: Option<&dyn AdaptiveView>,
     ) -> Vec<Corruption> {
@@ -444,23 +329,6 @@ impl Adversary for PhaseTargeted {
         out
     }
 
-    fn batch_aware(&self) -> bool {
-        true
-    }
-
-    fn corrupt_batch(
-        &mut self,
-        first_round: u64,
-        sends: &FrameBatch,
-        _budget: u64,
-        _view: Option<&dyn AdaptiveView>,
-    ) -> Vec<RoundCorruption> {
-        let (geometry, phase) = (self.geometry, self.phase);
-        sampled_batch(&self.links, &mut self.sampler, sends, |r| {
-            geometry.locate(first_round + r as u64).phase == phase
-        })
-    }
-
     fn name(&self) -> &'static str {
         "phase_targeted"
     }
@@ -477,10 +345,10 @@ impl Adversary for PhaseTargeted {
 /// simulation never converges; against τ = Θ(log m) (Algorithm B) the
 /// success probability per candidate is `m^{-Θ(1)}` and the hunt starves.
 ///
-/// Deliberately **not** [`Adversary::batch_aware`]: its oracle reads live
-/// per-round simulation state, which only exists on the sequential path —
-/// batched steps (meeting points, exchange) reach it through the engine's
-/// per-round fallback, where it correctly stays idle.
+/// Its oracle reads live per-round simulation state, which only exists
+/// on the bit-serial path. The batched phases (meeting points, exchange)
+/// still ask it once per round, and it stays idle there because they are
+/// not simulation rounds.
 pub struct SeedAwareCollision {
     geometry: PhaseGeometry,
     edges: usize,
@@ -507,7 +375,7 @@ impl Adversary for SeedAwareCollision {
     fn corrupt(
         &mut self,
         round: u64,
-        sends: &RoundFrame,
+        sends: Sends<'_>,
         budget: u64,
         view: Option<&dyn AdaptiveView>,
     ) -> Vec<Corruption> {
@@ -561,15 +429,15 @@ impl Adversary for SeedAwareCollision {
 /// Runs two adversaries' corruption streams in the same round — the
 /// composition the suites and experiments use to pair a wave-triggering
 /// oblivious attack (e.g. a burst) with a phase-aware one. Oblivious iff
-/// both halves are; never batch-aware (the halves are consulted through
-/// the engine's per-round fallback, which preserves each one's stream).
+/// both halves are. Each half is asked once per round with the same
+/// sends and budget, so each keeps its own corruption stream.
 pub struct Pair(pub Box<dyn Adversary>, pub Box<dyn Adversary>);
 
 impl Adversary for Pair {
     fn corrupt(
         &mut self,
         round: u64,
-        sends: &RoundFrame,
+        sends: Sends<'_>,
         remaining_budget: u64,
         view: Option<&dyn AdaptiveView>,
     ) -> Vec<Corruption> {
@@ -585,26 +453,6 @@ impl Adversary for Pair {
     fn name(&self) -> &'static str {
         "pair"
     }
-}
-
-/// Walks a batch round by round through a per-round `decide` procedure,
-/// preserving the sequential corruption stream — the shared batch-native
-/// path of the deterministic phase-aware attacks.
-fn decided_batch(
-    first_round: u64,
-    sends: &FrameBatch,
-    mut decide: impl FnMut(u64, &dyn Fn(LinkId) -> Option<bool>) -> Vec<Corruption>,
-) -> Vec<RoundCorruption> {
-    let mut out = Vec::new();
-    for r in 0..sends.rounds() {
-        for corruption in decide(first_round + r as u64, &|id| sends.get(id, r)) {
-            out.push(RoundCorruption {
-                round: r,
-                corruption,
-            });
-        }
-    }
-    out
 }
 
 /// The per-edge directed-link pair `(lo → hi, hi → lo)` for every edge,
@@ -645,10 +493,9 @@ fn edge_links(graph: &Graph) -> Vec<(DirectedLink, LinkId, DirectedLink, LinkId)
 /// [`PhaseKind::MeetingPoints`], which sprays the same rounds blindly;
 /// the splitter lands every corruption on a field that matters.
 ///
-/// Batch-native: the meeting-points exchange is exactly the phase the
-/// batched wire path accelerates, so [`Adversary::corrupt_batch`] walks
-/// the batch's rounds through the same per-round decision procedure (no
-/// private randomness, so the streams are identical by construction).
+/// The meeting-points exchange is the phase the runner batches, so this
+/// attack is mostly asked through [`Sends::Batch`] views; it draws no
+/// private randomness, so its stream is the same on either wire path.
 pub struct MeetingPointSplitter {
     /// Per-edge directed links, edge-id order.
     elinks: Vec<(DirectedLink, LinkId, DirectedLink, LinkId)>,
@@ -674,14 +521,19 @@ impl MeetingPointSplitter {
             split_targets: Vec::new(),
         }
     }
+}
 
-    /// The shared per-round decision procedure of both engine paths.
-    fn decide(
+impl Adversary for MeetingPointSplitter {
+    fn corrupt(
         &mut self,
         round: u64,
-        get: &dyn Fn(LinkId) -> Option<bool>,
-        view: &dyn AdaptiveView,
+        sends: Sends<'_>,
+        _budget: u64,
+        view: Option<&dyn AdaptiveView>,
     ) -> Vec<Corruption> {
+        let Some(view) = view else {
+            return Vec::new();
+        };
         let Some(pos) = view.phase_of(round) else {
             return Vec::new(); // phase visibility withheld
         };
@@ -700,12 +552,12 @@ impl MeetingPointSplitter {
                 let (fwd, fid, bwd, bid) = elinks[e];
                 out.push(Corruption {
                     link: fwd,
-                    output: additive(get(fid), 1),
+                    output: additive(sends.get(fid), 1),
                 });
                 if both {
                     out.push(Corruption {
                         link: bwd,
-                        output: additive(get(bid), 1),
+                        output: additive(sends.get(bid), 1),
                     });
                 }
             };
@@ -748,40 +600,6 @@ impl MeetingPointSplitter {
         }
         out
     }
-}
-
-impl Adversary for MeetingPointSplitter {
-    fn corrupt(
-        &mut self,
-        round: u64,
-        sends: &RoundFrame,
-        _budget: u64,
-        view: Option<&dyn AdaptiveView>,
-    ) -> Vec<Corruption> {
-        let Some(view) = view else {
-            return Vec::new();
-        };
-        self.decide(round, &|id| sends.get(id), view)
-    }
-
-    fn batch_aware(&self) -> bool {
-        true
-    }
-
-    fn corrupt_batch(
-        &mut self,
-        first_round: u64,
-        sends: &FrameBatch,
-        _budget: u64,
-        view: Option<&dyn AdaptiveView>,
-    ) -> Vec<RoundCorruption> {
-        let Some(view) = view else {
-            return Vec::new();
-        };
-        decided_batch(first_round, sends, |round, get| {
-            self.decide(round, get, view)
-        })
-    }
 
     fn is_oblivious(&self) -> bool {
         false
@@ -800,11 +618,9 @@ impl Adversary for MeetingPointSplitter {
 /// where the oblivious [`PhaseTargeted`] counterpart mostly lands on
 /// silent slots or flags that were *stop* anyway.
 ///
-/// Batch-native for the same reason as [`MeetingPointSplitter`]: the
-/// decision procedure is deterministic per round, so the batched walk
-/// emits exactly the sequential stream. (Flag passing itself is
-/// data-dependent and never batched by the runner, so in practice the
-/// batch path only ever sees this attack idle.)
+/// Flag passing is data-dependent and never batched by the runner, so
+/// on the batched path this attack is only ever asked about other
+/// phases, where it idles.
 pub struct FlagFlipper {
     /// All directed links in [`netgraph::LinkId`] order (index = id).
     links: Vec<DirectedLink>,
@@ -824,13 +640,19 @@ impl FlagFlipper {
             current_iteration: u64::MAX,
         }
     }
+}
 
-    fn decide(
+impl Adversary for FlagFlipper {
+    fn corrupt(
         &mut self,
         round: u64,
-        get: &dyn Fn(LinkId) -> Option<bool>,
-        view: &dyn AdaptiveView,
+        sends: Sends<'_>,
+        _budget: u64,
+        view: Option<&dyn AdaptiveView>,
     ) -> Vec<Corruption> {
+        let Some(view) = view else {
+            return Vec::new();
+        };
         let Some(pos) = view.phase_of(round) else {
             return Vec::new();
         };
@@ -846,7 +668,7 @@ impl FlagFlipper {
             if self.spent_this_iteration >= self.per_iteration {
                 break;
             }
-            if get(id) == Some(true) {
+            if sends.get(id) == Some(true) {
                 self.spent_this_iteration += 1;
                 out.push(Corruption {
                     link: self.links[id],
@@ -855,40 +677,6 @@ impl FlagFlipper {
             }
         }
         out
-    }
-}
-
-impl Adversary for FlagFlipper {
-    fn corrupt(
-        &mut self,
-        round: u64,
-        sends: &RoundFrame,
-        _budget: u64,
-        view: Option<&dyn AdaptiveView>,
-    ) -> Vec<Corruption> {
-        let Some(view) = view else {
-            return Vec::new();
-        };
-        self.decide(round, &|id| sends.get(id), view)
-    }
-
-    fn batch_aware(&self) -> bool {
-        true
-    }
-
-    fn corrupt_batch(
-        &mut self,
-        first_round: u64,
-        sends: &FrameBatch,
-        _budget: u64,
-        view: Option<&dyn AdaptiveView>,
-    ) -> Vec<RoundCorruption> {
-        let Some(view) = view else {
-            return Vec::new();
-        };
-        decided_batch(first_round, sends, |round, get| {
-            self.decide(round, get, view)
-        })
     }
 
     fn is_oblivious(&self) -> bool {
@@ -912,11 +700,10 @@ impl Adversary for FlagFlipper {
 /// Its oblivious counterpart is [`PhaseTargeted`] on
 /// [`PhaseKind::Rewind`], which wastes most hits on silent links.
 ///
-/// Deliberately **not** [`Adversary::batch_aware`]: the active-set
-/// signal only exists on the sequential path (the runner batches rewind
-/// rounds only when the phase is disabled and silent), so the engine's
-/// per-round fallback — where this attack correctly idles outside the
-/// rewind phase — is the honest implementation.
+/// The active-set signal only exists on the bit-serial path: the runner
+/// batches rewind rounds only when the phase is disabled and silent, and
+/// then [`AdaptiveView::rewind_active`] is `None`, so this attack idles
+/// on every batched round.
 pub struct RewindSuppressor {
     /// All directed links in [`netgraph::LinkId`] order (index = id).
     links: Vec<DirectedLink>,
@@ -943,7 +730,7 @@ impl Adversary for RewindSuppressor {
     fn corrupt(
         &mut self,
         round: u64,
-        sends: &RoundFrame,
+        sends: Sends<'_>,
         _budget: u64,
         view: Option<&dyn AdaptiveView>,
     ) -> Vec<Corruption> {
@@ -1005,9 +792,9 @@ impl Adversary for RewindSuppressor {
 /// collision-rich configuration the hunter can land a burst the
 /// fixed-allowance [`SeedAwareCollision`] would have had to spread out.
 ///
-/// Like [`SeedAwareCollision`], deliberately **not**
-/// [`Adversary::batch_aware`]: its oracle reads live per-round
-/// simulation state that only exists on the sequential path.
+/// Like [`SeedAwareCollision`], its oracle reads live per-round
+/// simulation state that only exists on the bit-serial path, so it idles
+/// on batched rounds.
 pub struct CrossIterationHunter {
     edges: usize,
     per_iteration: u64,
@@ -1032,7 +819,7 @@ impl Adversary for CrossIterationHunter {
     fn corrupt(
         &mut self,
         round: u64,
-        sends: &RoundFrame,
+        sends: Sends<'_>,
         budget: u64,
         view: Option<&dyn AdaptiveView>,
     ) -> Vec<Corruption> {
@@ -1154,7 +941,7 @@ impl Adversary for ScriptedAdversary {
     fn corrupt(
         &mut self,
         round: u64,
-        sends: &RoundFrame,
+        sends: Sends<'_>,
         remaining_budget: u64,
         _view: Option<&dyn AdaptiveView>,
     ) -> Vec<Corruption> {
@@ -1172,42 +959,6 @@ impl Adversary for ScriptedAdversary {
                 out.push(Corruption {
                     link: self.links[s.lid],
                     output: additive(sends.get(s.lid), s.e),
-                });
-            }
-        }
-        out
-    }
-
-    fn batch_aware(&self) -> bool {
-        true
-    }
-
-    fn corrupt_batch(
-        &mut self,
-        first_round: u64,
-        sends: &FrameBatch,
-        remaining_budget: u64,
-        _view: Option<&dyn AdaptiveView>,
-    ) -> Vec<RoundCorruption> {
-        let end = first_round + sends.rounds() as u64;
-        let mut out = Vec::new();
-        while self.cursor < self.script.len() && self.script[self.cursor].round < first_round {
-            self.cursor += 1;
-        }
-        // Every emitted step lands (additive errors never no-op and the
-        // lid is always an edge), so one shared draw-down across the
-        // batch replays the sequential per-round accounting exactly.
-        while self.cursor < self.script.len() && self.script[self.cursor].round < end {
-            let s = self.script[self.cursor];
-            self.cursor += 1;
-            if (out.len() as u64) < remaining_budget {
-                let r = (s.round - first_round) as usize;
-                out.push(RoundCorruption {
-                    round: r,
-                    corruption: Corruption {
-                        link: self.links[s.lid],
-                        output: additive(sends.get(s.lid, r), s.e),
-                    },
                 });
             }
         }
@@ -1371,7 +1122,7 @@ impl Adversary for ScriptRecorder {
     fn corrupt(
         &mut self,
         round: u64,
-        sends: &RoundFrame,
+        sends: Sends<'_>,
         remaining_budget: u64,
         view: Option<&dyn AdaptiveView>,
     ) -> Vec<Corruption> {
@@ -1393,41 +1144,6 @@ impl Adversary for ScriptRecorder {
         out
     }
 
-    fn batch_aware(&self) -> bool {
-        self.inner.batch_aware()
-    }
-
-    fn corrupt_batch(
-        &mut self,
-        first_round: u64,
-        sends: &FrameBatch,
-        remaining_budget: u64,
-        view: Option<&dyn AdaptiveView>,
-    ) -> Vec<RoundCorruption> {
-        let out = self
-            .inner
-            .corrupt_batch(first_round, sends, remaining_budget, view);
-        let mut sink = self.sink.borrow_mut();
-        let mut applied = 0u64;
-        for rc in &out {
-            let Some(lid) = self.graph.link_id(rc.corruption.link) else {
-                continue;
-            };
-            let honest = sends.get(lid, rc.round);
-            if honest == rc.corruption.output || applied >= remaining_budget {
-                continue;
-            }
-            applied += 1;
-            let e = (sym(rc.corruption.output) + 3 - sym(honest)) % 3;
-            sink.push(ScriptStep {
-                round: first_round + rc.round as u64,
-                lid,
-                e,
-            });
-        }
-        out
-    }
-
     fn is_oblivious(&self) -> bool {
         self.inner.is_oblivious()
     }
@@ -1440,6 +1156,7 @@ impl Adversary for ScriptRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{FrameBatch, RoundFrame};
     use netgraph::topology;
 
     fn dl(from: usize, to: usize) -> DirectedLink {
@@ -1464,8 +1181,8 @@ mod tests {
         let sends = RoundFrame::for_graph(&g);
         for round in 0..50 {
             assert_eq!(
-                a.corrupt(round, &sends, u64::MAX, None),
-                b.corrupt(round, &sends, u64::MAX, None)
+                a.corrupt(round, Sends::Frame(&sends), u64::MAX, None),
+                b.corrupt(round, Sends::Frame(&sends), u64::MAX, None)
             );
         }
     }
@@ -1477,7 +1194,7 @@ mod tests {
         let sends = RoundFrame::for_graph(&g);
         let mut hits = 0;
         for round in 0..10_000 {
-            hits += a.corrupt(round, &sends, u64::MAX, None).len();
+            hits += a.corrupt(round, Sends::Frame(&sends), u64::MAX, None).len();
         }
         // Expected hits per round = links × prob = 0.2.
         let rate = hits as f64 / 10_000.0;
@@ -1491,7 +1208,7 @@ mod tests {
         let sends = RoundFrame::for_graph(&g);
         let mut total = 0;
         for round in 0..10 {
-            total += a.corrupt(round, &sends, u64::MAX, None).len();
+            total += a.corrupt(round, Sends::Frame(&sends), u64::MAX, None).len();
         }
         assert_eq!(total, 1);
     }
@@ -1516,7 +1233,7 @@ mod tests {
         let mut a = PhaseTargeted::new(&graph, g, PhaseKind::FlagPassing, 1.0, 3);
         let sends = RoundFrame::for_graph(&graph);
         for round in 0..40 {
-            let cs = a.corrupt(round, &sends, u64::MAX, None);
+            let cs = a.corrupt(round, Sends::Frame(&sends), u64::MAX, None);
             let in_fp = g.locate(round).phase == PhaseKind::FlagPassing;
             assert_eq!(!cs.is_empty(), in_fp, "round {round}");
         }
@@ -1533,7 +1250,9 @@ mod tests {
             Box::new(CrossIterationHunter::new(2, 1, 4)),
         ];
         for a in &mut attacks {
-            assert!(a.corrupt(5, &sends, u64::MAX, None).is_empty());
+            assert!(a
+                .corrupt(5, Sends::Frame(&sends), u64::MAX, None)
+                .is_empty());
             assert!(!a.is_oblivious());
         }
     }
@@ -1561,11 +1280,15 @@ mod tests {
         let mut a = ScriptedAdversary::new(&graph, steps);
         assert_eq!(a.script()[0].round, 2, "sorted by round");
         let sends = RoundFrame::for_graph(&graph);
-        assert!(a.corrupt(0, &sends, u64::MAX, None).is_empty());
-        assert_eq!(a.corrupt(2, &sends, u64::MAX, None).len(), 1);
+        assert!(a
+            .corrupt(0, Sends::Frame(&sends), u64::MAX, None)
+            .is_empty());
+        assert_eq!(a.corrupt(2, Sends::Frame(&sends), u64::MAX, None).len(), 1);
         // Skipped rounds are dropped, same-round steps batch together.
-        assert_eq!(a.corrupt(7, &sends, u64::MAX, None).len(), 2);
-        assert!(a.corrupt(8, &sends, u64::MAX, None).is_empty());
+        assert_eq!(a.corrupt(7, Sends::Frame(&sends), u64::MAX, None).len(), 2);
+        assert!(a
+            .corrupt(8, Sends::Frame(&sends), u64::MAX, None)
+            .is_empty());
     }
 
     #[test]
@@ -1741,7 +1464,9 @@ mod tests {
         let graph = topology::line(4);
         let mut a = SeedAwareCollision::new(g, 3, 1);
         let sends = RoundFrame::for_graph(&graph);
-        assert!(a.corrupt(3, &sends, u64::MAX, None).is_empty());
+        assert!(a
+            .corrupt(3, Sends::Frame(&sends), u64::MAX, None)
+            .is_empty());
         assert!(!a.is_oblivious());
     }
 }

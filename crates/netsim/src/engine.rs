@@ -1,9 +1,9 @@
 //! The round-driven network engine.
 
 use crate::fault::{FaultSchedule, FaultState, FaultStats};
-use crate::frame::{FrameBatch, RoundFrame, Wire};
+use crate::frame::{FrameBatch, RoundFrame, Sends};
 use crate::phase::PhasePos;
-use netgraph::{DirectedLink, EdgeId, Graph, NodeId};
+use netgraph::{DirectedLink, EdgeId, Graph, LinkId, NodeId};
 
 /// One channel corruption: the link and what the receiver should observe
 /// instead (`Some(bit)` substitutes/inserts, `None` deletes).
@@ -13,17 +13,6 @@ pub struct Corruption {
     pub link: DirectedLink,
     /// The channel output after noise: a bit, or silence.
     pub output: Option<bool>,
-}
-
-/// One corruption inside a [`FrameBatch`]: the batch round it lands in
-/// plus the per-link override — the batched form keeps full per-round
-/// addressing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RoundCorruption {
-    /// Round offset within the batch (`0..batch.rounds()`).
-    pub round: usize,
-    /// The corruption applied in that round.
-    pub corruption: Corruption,
 }
 
 /// One endpoint's live meeting-points position on an edge, as published
@@ -102,12 +91,11 @@ pub trait AdaptiveView {
     /// full-transcript hash comparison collide, so the error goes
     /// undetected. Returns `None` when no such corruption exists this
     /// round.
-    fn collision_corruption(&self, edge: EdgeId, sends: &RoundFrame) -> Option<Corruption>;
+    fn collision_corruption(&self, edge: EdgeId, sends: Sends<'_>) -> Option<Corruption>;
 
     /// Where absolute round `round` falls in the scheme's phase layout
     /// (iteration, phase kind, round-within-phase). `None` when phase
-    /// visibility is withheld. Batch adversaries pass
-    /// `first_round + offset` to locate each round of the batch.
+    /// visibility is withheld.
     fn phase_of(&self, round: u64) -> Option<PhasePos> {
         let _ = round;
         None
@@ -149,51 +137,27 @@ pub trait AdaptiveView {
 }
 
 /// An adversary controlling the noise.
+///
+/// The engine asks [`Adversary::corrupt`] exactly once per round, in
+/// round order, on both wire paths: [`Network::step_into`] and every
+/// round of a [`Network::step_rounds_into`] batch. That one call is the
+/// adversary's whole decision for the round (the paper's per-symbol
+/// alter / delete / insert), so its state and private randomness advance
+/// identically whichever path the runner takes.
 pub trait Adversary {
-    /// Corruptions for the current round. `sends` is the honest frame,
-    /// indexed by the graph's [`netgraph::LinkId`]s. `view` is `None` when
-    /// the runner withholds the live state (oblivious-only experiments)
-    /// and `Some` otherwise; oblivious adversaries must ignore it.
+    /// Corruptions for absolute round `round`. `sends` is the honest
+    /// round, indexed by the graph's [`netgraph::LinkId`]s.
+    /// `remaining_budget` is the budget left at the start of this round.
+    /// `view` is `None` when the runner withholds the live state
+    /// (oblivious-only experiments) and `Some` otherwise; oblivious
+    /// adversaries must ignore it.
     fn corrupt(
         &mut self,
         round: u64,
-        sends: &RoundFrame,
+        sends: Sends<'_>,
         remaining_budget: u64,
         view: Option<&dyn AdaptiveView>,
     ) -> Vec<Corruption>;
-
-    /// Whether this adversary can corrupt a whole [`FrameBatch`] in one
-    /// [`Adversary::corrupt_batch`] call. When `false` (the default),
-    /// [`Network::step_rounds_into`] falls back to consulting
-    /// [`Adversary::corrupt`] round by round — outcome-identical, just
-    /// without the single-call fast path.
-    fn batch_aware(&self) -> bool {
-        false
-    }
-
-    /// Corruptions for a whole batch of independent rounds
-    /// `[first_round, first_round + sends.rounds())`, in round order.
-    ///
-    /// Implementations MUST produce exactly the corruption stream that
-    /// `sends.rounds()` sequential [`Adversary::corrupt`] calls would —
-    /// same corruptions, same order, same private-randomness consumption —
-    /// so that the batched and bit-serial engine paths stay byte-identical.
-    /// Only consulted when [`Adversary::batch_aware`] returns `true`; the
-    /// default implementation panics to make an incomplete override loud.
-    ///
-    /// `remaining_budget` is the budget at the *start* of the batch;
-    /// adversaries whose decisions depend on mid-batch budget draw-down
-    /// must stay on the per-round path (`batch_aware = false`).
-    fn corrupt_batch(
-        &mut self,
-        first_round: u64,
-        sends: &FrameBatch,
-        remaining_budget: u64,
-        view: Option<&dyn AdaptiveView>,
-    ) -> Vec<RoundCorruption> {
-        let _ = (first_round, sends, remaining_budget, view);
-        unimplemented!("batch_aware adversary must override corrupt_batch")
-    }
 
     /// Whether this adversary's pattern is independent of the execution
     /// (additive / fixing oblivious adversaries of §2.1).
@@ -233,8 +197,8 @@ impl NetStats {
 ///
 /// The hot path is [`Network::step_into`]: the caller owns two
 /// [`RoundFrame`] buffers (sends and receptions) and reuses them every
-/// round — no per-round allocation. [`Network::step`] is a thin
-/// convenience wrapper over the legacy [`Wire`] map form.
+/// round — no per-round allocation. Phases with independent rounds use
+/// [`Network::step_rounds_into`] over a [`FrameBatch`] instead.
 ///
 /// # Examples
 ///
@@ -256,9 +220,6 @@ pub struct Network {
     adversary: Box<dyn Adversary>,
     budget: u64,
     stats: NetStats,
-    /// Scratch frames of [`Network::step_rounds_into`]'s per-round
-    /// fallback path, allocated on first use and reused across batches.
-    fallback_frames: Option<(RoundFrame, RoundFrame)>,
     /// Installed wire-fault schedule, if any (see [`FaultSchedule`]).
     faults: Option<FaultState>,
 }
@@ -272,7 +233,6 @@ impl Network {
             adversary,
             budget,
             stats: NetStats::default(),
-            fallback_frames: None,
             faults: None,
         }
     }
@@ -315,6 +275,36 @@ impl Network {
         self.budget - self.stats.corruptions
     }
 
+    /// Consults the adversary for absolute round `round` and admits its
+    /// corruptions: non-edges and no-ops (output equal to the honest
+    /// symbol) are skipped, corruptions past the budget are counted as
+    /// dropped, and each admitted one is charged to the budget and handed
+    /// to `apply` as `(link, output)`. The one admission rule of both wire
+    /// paths.
+    fn corrupt_round(
+        &mut self,
+        round: u64,
+        sends: Sends<'_>,
+        view: Option<&dyn AdaptiveView>,
+        mut apply: impl FnMut(LinkId, Option<bool>),
+    ) {
+        let remaining = self.budget - self.stats.corruptions;
+        for c in self.adversary.corrupt(round, sends, remaining, view) {
+            let Some(id) = self.graph.link_id(c.link) else {
+                continue; // corrupting a non-edge is meaningless
+            };
+            if sends.get(id) == c.output {
+                continue; // no change, not a corruption
+            }
+            if self.stats.corruptions >= self.budget {
+                self.stats.dropped_corruptions += 1;
+                continue;
+            }
+            self.stats.corruptions += 1;
+            apply(id, c.output);
+        }
+    }
+
     /// Executes one synchronous round: applies the adversary to the honest
     /// sends and writes what each receiving endpoint observes into `rx`
     /// (silent link = silence). `sends` and `rx` are caller-owned buffers
@@ -334,47 +324,29 @@ impl Network {
             self.graph.link_count(),
             "sends frame not sized to graph"
         );
+        let round = self.stats.rounds;
         self.stats.rounds += 1;
         self.stats.cc += sends.count_set() as u64;
-        let remaining = self.budget - self.stats.corruptions;
-        let corruptions = self
-            .adversary
-            .corrupt(self.stats.rounds - 1, sends, remaining, view);
         rx.copy_from(sends);
-        for c in corruptions {
-            let Some(id) = self.graph.link_id(c.link) else {
-                continue; // corrupting a non-edge is meaningless
-            };
-            let honest = sends.get(id);
-            if honest == c.output {
-                continue; // no change, not a corruption
-            }
-            if self.stats.corruptions >= self.budget {
-                self.stats.dropped_corruptions += 1;
-                continue;
-            }
-            self.stats.corruptions += 1;
-            match c.output {
-                Some(bit) => rx.set(id, bit),
-                None => rx.clear(id),
-            }
-        }
+        self.corrupt_round(round, Sends::Frame(sends), view, |id, out| match out {
+            Some(bit) => rx.set(id, bit),
+            None => rx.clear(id),
+        });
         if let Some(f) = &mut self.faults {
-            f.mask_frame(self.stats.rounds - 1, rx);
+            f.mask_frame(round, rx);
         }
     }
 
     /// Executes a whole batch of **independent** synchronous rounds in one
-    /// call: every round of `sends` passes through the adversary and the
-    /// budget accounting exactly as if stepped individually through
-    /// [`Network::step_into`], and the receptions land in `rx`.
+    /// call and writes the receptions into `rx`: one bulk copy of `sends`,
+    /// then, round by round, one [`Adversary::corrupt`] consultation
+    /// (through a [`Sends::Batch`] view, so nothing is copied out of the
+    /// lanes), the budget admission of [`Network::step_into`], and the
+    /// round's fault masking.
     ///
     /// Outcome contract: after this call, `rx`, [`Network::stats`] and the
     /// adversary state are byte-identical to `sends.rounds()` sequential
-    /// `step_into` calls over the batch's per-round frames. The fast path
-    /// (a [`Adversary::batch_aware`] adversary) is one bulk lane copy plus
-    /// one `corrupt_batch` consultation; other adversaries are consulted
-    /// round by round against extracted frames.
+    /// `step_into` calls over the batch's per-round frames.
     ///
     /// Rounds inside a batch must not depend on each other's receptions —
     /// the caller sees `rx` only when every round has already been sent.
@@ -395,71 +367,20 @@ impl Network {
             "sends batch not sized to graph"
         );
         assert_eq!(sends.rounds(), rx.rounds(), "batch round mismatch");
-        let rounds = sends.rounds();
-        if self.adversary.batch_aware() {
-            let first_round = self.stats.rounds;
-            self.stats.rounds += rounds as u64;
-            self.stats.cc += sends.count_set() as u64;
-            let remaining = self.budget - self.stats.corruptions;
-            let corruptions = self
-                .adversary
-                .corrupt_batch(first_round, sends, remaining, view);
-            rx.copy_from(sends);
-            for rc in corruptions {
-                debug_assert!(rc.round < rounds, "corruption past batch end");
-                let Some(id) = self.graph.link_id(rc.corruption.link) else {
-                    continue; // corrupting a non-edge is meaningless
-                };
-                let honest = sends.get(id, rc.round);
-                if honest == rc.corruption.output {
-                    continue; // no change, not a corruption
-                }
-                if self.stats.corruptions >= self.budget {
-                    self.stats.dropped_corruptions += 1;
-                    continue;
-                }
-                self.stats.corruptions += 1;
-                match rc.corruption.output {
-                    Some(bit) => rx.set(id, rc.round, bit),
-                    None => rx.clear(id, rc.round),
-                }
-            }
-            // Masking applies per round in round order — byte-identical
-            // to the sequential path, which masks each round as it steps.
+        let first_round = self.stats.rounds;
+        self.stats.rounds += sends.rounds() as u64;
+        self.stats.cc += sends.count_set() as u64;
+        rx.copy_from(sends);
+        for r in 0..sends.rounds() {
+            let round = first_round + r as u64;
+            self.corrupt_round(round, Sends::Batch(sends, r), view, |id, out| match out {
+                Some(bit) => rx.set(id, r, bit),
+                None => rx.clear(id, r),
+            });
             if let Some(f) = &mut self.faults {
-                for r in 0..rounds {
-                    f.mask_batch_round(first_round + r as u64, rx, r);
-                }
+                f.mask_batch_round(round, rx, r);
             }
-        } else {
-            // Per-round fallback: exactly the sequential protocol, frames
-            // extracted from the lanes (scratch reused across batches).
-            let links = sends.link_count();
-            let (mut tx, mut rxf) = self
-                .fallback_frames
-                .take()
-                .unwrap_or_else(|| (RoundFrame::new(links), RoundFrame::new(links)));
-            for r in 0..rounds {
-                sends.round_into(r, &mut tx);
-                self.step_into(&tx, view, &mut rxf);
-                rx.set_round(r, &rxf);
-            }
-            self.fallback_frames = Some((tx, rxf));
         }
-    }
-
-    /// Legacy convenience wrapper over [`Network::step_into`] in terms of
-    /// the [`Wire`] map form. Allocates two frames and a map per call —
-    /// use `step_into` with reused buffers on hot paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a send uses a link that is not an edge of the graph.
-    pub fn step(&mut self, sends: &Wire, view: Option<&dyn AdaptiveView>) -> Wire {
-        let frame = RoundFrame::from_wire(&self.graph, sends);
-        let mut rx = RoundFrame::for_graph(&self.graph);
-        self.step_into(&frame, view, &mut rx);
-        rx.to_wire(&self.graph)
     }
 }
 
@@ -476,11 +397,12 @@ mod tests {
     #[test]
     fn no_noise_passes_everything() {
         let g = topology::ring(4);
-        let mut net = Network::new(g, Box::new(NoNoise), 0);
-        let mut sends = Wire::new();
-        sends.insert(dl(0, 1), true);
-        sends.insert(dl(2, 1), false);
-        let rx = net.step(&sends, None);
+        let mut net = Network::new(g.clone(), Box::new(NoNoise), 0);
+        let mut sends = RoundFrame::for_graph(&g);
+        sends.set(g.link_id(dl(0, 1)).unwrap(), true);
+        sends.set(g.link_id(dl(2, 1)).unwrap(), false);
+        let mut rx = RoundFrame::for_graph(&g);
+        net.step_into(&sends, None, &mut rx);
         assert_eq!(rx, sends);
         assert_eq!(net.stats().cc, 2);
         assert_eq!(net.stats().corruptions, 0);
@@ -508,29 +430,33 @@ mod tests {
     #[test]
     fn burst_flips_and_counts() {
         let g = topology::line(3);
+        let id = g.link_id(dl(0, 1)).unwrap();
         let atk = BurstLink::new(&g, dl(0, 1), 0, 10);
-        let mut net = Network::new(g, Box::new(atk), 100);
-        let mut sends = Wire::new();
-        sends.insert(dl(0, 1), false);
-        let rx = net.step(&sends, None);
-        assert_eq!(rx.get(&dl(0, 1)), Some(&true)); // 0 + 1 = 1: substitution
+        let mut net = Network::new(g.clone(), Box::new(atk), 100);
+        let mut sends = RoundFrame::for_graph(&g);
+        let mut rx = RoundFrame::for_graph(&g);
+        sends.set(id, false);
+        net.step_into(&sends, None, &mut rx);
+        assert_eq!(rx.get(id), Some(true)); // 0 + 1 = 1: substitution
         assert_eq!(net.stats().corruptions, 1);
         // A `true` bit under additive-1 becomes silence (deletion).
-        let mut sends = Wire::new();
-        sends.insert(dl(0, 1), true);
-        let rx = net.step(&sends, None);
-        assert_eq!(rx.get(&dl(0, 1)), None);
+        sends.set(id, true);
+        net.step_into(&sends, None, &mut rx);
+        assert_eq!(rx.get(id), None);
         assert_eq!(net.stats().corruptions, 2);
     }
 
     #[test]
     fn burst_inserts_on_silence() {
         let g = topology::line(3);
+        let id = g.link_id(dl(0, 1)).unwrap();
         let atk = BurstLink::new(&g, dl(0, 1), 0, 10);
-        let mut net = Network::new(g, Box::new(atk), 100);
-        let rx = net.step(&Wire::new(), None);
+        let mut net = Network::new(g.clone(), Box::new(atk), 100);
+        let sends = RoundFrame::for_graph(&g);
+        let mut rx = RoundFrame::for_graph(&g);
+        net.step_into(&sends, None, &mut rx);
         // Insertion: receiver observes a bit that was never sent.
-        assert!(rx.contains_key(&dl(0, 1)));
+        assert!(rx.get(id).is_some());
         assert_eq!(net.stats().cc, 0);
         assert_eq!(net.stats().corruptions, 1);
     }
@@ -539,11 +465,12 @@ mod tests {
     fn budget_is_enforced() {
         let g = topology::line(3);
         let atk = BurstLink::new(&g, dl(0, 1), 0, 10);
-        let mut net = Network::new(g, Box::new(atk), 2);
+        let mut net = Network::new(g.clone(), Box::new(atk), 2);
+        let mut sends = RoundFrame::for_graph(&g);
+        let mut rx = RoundFrame::for_graph(&g);
+        sends.set(g.link_id(dl(0, 1)).unwrap(), true);
         for _ in 0..5 {
-            let mut sends = Wire::new();
-            sends.insert(dl(0, 1), true);
-            net.step(&sends, None);
+            net.step_into(&sends, None, &mut rx);
         }
         assert_eq!(net.stats().corruptions, 2);
         assert_eq!(net.stats().dropped_corruptions, 3);
@@ -558,16 +485,6 @@ mod tests {
             dropped_corruptions: 0,
         };
         assert!((s.noise_fraction() - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-edge")]
-    fn rejects_send_on_non_edge() {
-        let g = topology::line(3);
-        let mut net = Network::new(g, Box::new(NoNoise), 0);
-        let mut sends = Wire::new();
-        sends.insert(dl(0, 2), true);
-        net.step(&sends, None);
     }
 
     #[test]

@@ -4,17 +4,11 @@
 //! every directed link of a graph: two bit-packed vectors (presence and
 //! value) indexed by [`LinkId`]. Setting, getting and clearing a link is
 //! O(1); wiping or copying a whole frame is O(m/64); iterating the
-//! occupied links is O(m/64 + sends). The legacy map form
-//! ([`Wire`] = `BTreeMap<DirectedLink, bool>`) converts losslessly in
-//! both directions given the graph.
+//! occupied links is O(m/64 + sends). A [`FrameBatch`] packs many
+//! independent rounds lane-major, and [`Sends`] is the borrowed view of
+//! one round of either form that the adversary reads.
 
 use netgraph::{Graph, LinkId};
-use std::collections::BTreeMap;
-
-/// The legacy map form of one round's sends: directed link → bit. Links
-/// absent from the map are silent. Kept for conversions and tests; the
-/// engine's hot path is [`RoundFrame`].
-pub type Wire = BTreeMap<netgraph::DirectedLink, bool>;
 
 /// One round of wire contents over a fixed link universe, bit-packed.
 ///
@@ -149,41 +143,6 @@ impl RoundFrame {
                 let value = self.value[wi];
                 BitIter { word }.map(move |b| (wi * 64 + b, value >> b & 1 == 1))
             })
-    }
-
-    /// Builds a frame from the legacy map form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a key is not an edge of `graph` (the legacy engine
-    /// rejected such sends the same way).
-    pub fn from_wire(graph: &Graph, wire: &Wire) -> RoundFrame {
-        let mut f = RoundFrame::for_graph(graph);
-        for (&link, &bit) in wire {
-            let id = graph
-                .link_id(link)
-                .unwrap_or_else(|| panic!("send on non-edge {link}"));
-            f.set(id, bit);
-        }
-        f
-    }
-
-    /// Converts to the legacy map form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame was not sized to `graph`.
-    pub fn to_wire(&self, graph: &Graph) -> Wire {
-        assert_eq!(self.links, graph.link_count(), "frame/graph mismatch");
-        self.iter_set()
-            .map(|(id, bit)| (graph.link(id), bit))
-            .collect()
-    }
-}
-
-impl From<(&Graph, &Wire)> for RoundFrame {
-    fn from((graph, wire): (&Graph, &Wire)) -> RoundFrame {
-        RoundFrame::from_wire(graph, wire)
     }
 }
 
@@ -487,6 +446,51 @@ impl FrameBatch {
     }
 }
 
+/// A borrowed view of one round's honest sends: a whole [`RoundFrame`]
+/// (the bit-serial path, [`crate::Network::step_into`]) or one round of
+/// a [`FrameBatch`] (the batched path,
+/// [`crate::Network::step_rounds_into`]). This is what
+/// [`crate::Adversary::corrupt`] reads, so an adversary sees the same
+/// round on either path without the engine copying it out of the batch.
+#[derive(Clone, Copy, Debug)]
+pub enum Sends<'a> {
+    /// A single round held as a frame.
+    Frame(&'a RoundFrame),
+    /// Round `.1` of a batch.
+    Batch(&'a FrameBatch, usize),
+}
+
+impl<'a> Sends<'a> {
+    /// The bit on link `id` this round, or `None` if the link is silent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` (or a batch view's round) is out of range.
+    #[inline]
+    pub fn get(self, id: LinkId) -> Option<bool> {
+        match self {
+            Sends::Frame(f) => f.get(id),
+            Sends::Batch(b, r) => b.get(id, r),
+        }
+    }
+
+    /// Iterates `(link, bit)` over this round's non-silent links in
+    /// [`LinkId`] order.
+    pub fn iter_set(self) -> impl Iterator<Item = (LinkId, bool)> + 'a {
+        let (frame, batch) = match self {
+            Sends::Frame(f) => (Some(f), None),
+            Sends::Batch(b, r) => (None, Some((b, r))),
+        };
+        let batch_round = batch.into_iter().flat_map(|(b, r)| {
+            (0..b.links).filter_map(move |id| b.get(id, r).map(|bit| (id, bit)))
+        });
+        frame
+            .into_iter()
+            .flat_map(RoundFrame::iter_set)
+            .chain(batch_round)
+    }
+}
+
 /// Iterator over the set bit positions of one word.
 struct BitIter {
     word: u64,
@@ -508,11 +512,7 @@ impl Iterator for BitIter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netgraph::{topology, DirectedLink};
-
-    fn dl(from: usize, to: usize) -> DirectedLink {
-        DirectedLink { from, to }
-    }
+    use netgraph::topology;
 
     #[test]
     fn set_get_clear() {
@@ -543,20 +543,42 @@ mod tests {
         }
         let got: Vec<(usize, bool)> = f.iter_set().collect();
         assert_eq!(got, vec![(3, true), (63, false), (64, true), (199, false)]);
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        let g = topology::ring(5);
-        let mut w = Wire::new();
-        w.insert(dl(0, 1), true);
-        w.insert(dl(1, 0), false);
-        w.insert(dl(4, 0), true);
-        let f = RoundFrame::from_wire(&g, &w);
-        assert_eq!(f.count_set(), 3);
-        assert_eq!(f.to_wire(&g), w);
-        let f2: RoundFrame = (&g, &w).into();
-        assert_eq!(f2, f);
+        // Random rounds over real topologies, through the frame and both
+        // `Sends` views: exactly the set links, each once, in ascending
+        // `LinkId` order.
+        let graphs = [
+            topology::ring(5),
+            topology::line(6),
+            topology::clique(5),
+            topology::grid(2, 3),
+            topology::random_connected(7, 11, 3),
+        ];
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for g in &graphs {
+            for _ in 0..8 {
+                let mut f = RoundFrame::for_graph(g);
+                let mut b = FrameBatch::for_graph(g, 3);
+                let mut want = Vec::new();
+                for id in 0..g.link_count() {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    if x % 3 != 0 {
+                        let bit = x % 3 == 2;
+                        f.set(id, bit);
+                        b.set(id, 1, bit);
+                        want.push((id, bit));
+                    }
+                }
+                assert_eq!(f.iter_set().collect::<Vec<_>>(), want);
+                assert_eq!(Sends::Frame(&f).iter_set().collect::<Vec<_>>(), want);
+                assert_eq!(Sends::Batch(&b, 1).iter_set().collect::<Vec<_>>(), want);
+                assert_eq!(Sends::Batch(&b, 0).iter_set().count(), 0);
+                for id in 0..g.link_count() {
+                    assert_eq!(Sends::Batch(&b, 1).get(id), f.get(id));
+                }
+            }
+        }
     }
 
     #[test]
@@ -569,15 +591,6 @@ mod tests {
         b.copy_from(&a);
         assert_eq!(b, a);
         assert_eq!(b.get(4), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-edge")]
-    fn from_wire_rejects_non_edge() {
-        let g = topology::line(3);
-        let mut w = Wire::new();
-        w.insert(dl(0, 2), true);
-        let _ = RoundFrame::from_wire(&g, &w);
     }
 
     #[test]

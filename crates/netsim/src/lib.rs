@@ -31,33 +31,18 @@
 //! a link's whole multi-round message is written with one
 //! [`FrameBatch::set_bits`] word store and read back as a
 //! [`FrameBatch::lane`] slice. [`Network::step_rounds_into`] consumes a
-//! batch in one call — one bulk copy, one [`Adversary::corrupt_batch`]
-//! consultation for batch-aware adversaries (every oblivious attack in
-//! [`attacks`]) and a per-round fallback for the rest — with the
-//! contract that receptions, [`NetStats`] and adversary state end up
-//! byte-identical to stepping the rounds one at a time. Corruptions in a
-//! batch are addressed per round via [`RoundCorruption`], so nothing is
-//! lost relative to the bit-serial path.
+//! batch in one call: one bulk copy, then one [`Adversary::corrupt`]
+//! consultation per round through a borrowed [`Sends::Batch`] view, with
+//! the contract that receptions, [`NetStats`] and adversary state end up
+//! byte-identical to stepping the rounds one at a time.
 //!
-//! ## Migration note (`Wire` users)
+//! # Adversaries
 //!
-//! Before this redesign the wire was `Wire = BTreeMap<DirectedLink,
-//! bool>` and the engine's only entry point was `step(&Wire, view) ->
-//! Wire`, which cloned the map every round. `Wire` and [`Network::step`]
-//! survive as a conversion layer — `step` is a thin wrapper that
-//! round-trips through [`RoundFrame::from_wire`] / [`RoundFrame::to_wire`]
-//! and allocates per call, so port hot loops to `step_into`:
-//!
-//! * `wire.insert(link, bit)` → `frame.set(graph.link_id(link)?, bit)`
-//!   (resolve ids once, outside the loop, where possible);
-//! * `wire.get(&link)` → `frame.get(id)` (returns `Option<bool>` by
-//!   value);
-//! * `wire.contains_key(&link)` → `frame.get(id).is_some()`;
-//! * iteration → [`RoundFrame::iter_set`], which yields `(LinkId, bool)`
-//!   in id order;
-//! * [`Adversary::corrupt`] and [`AdaptiveView::collision_corruption`]
-//!   now receive `&RoundFrame`; attacks resolve their target links to ids
-//!   at construction (constructors take `&Graph`).
+//! An adversary has one decision procedure, [`Adversary::corrupt`],
+//! asked once per round on both paths with a [`Sends`] view of that
+//! round's honest symbols and the exact remaining budget; attacks resolve
+//! their target links to ids at construction (constructors take
+//! `&Graph`).
 //!
 //! Adversaries come in two flavors mirroring the paper:
 //! * **oblivious** ([`Adversary::is_oblivious`] = true) — their decisions
@@ -78,8 +63,7 @@ mod phase;
 
 pub use engine::{
     AdaptiveView, Adversary, Corruption, EdgeMpView, FlagView, MpSideView, NetStats, Network,
-    RoundCorruption,
 };
 pub use fault::{FaultSchedule, FaultStats};
-pub use frame::{FrameBatch, RoundFrame, Wire};
+pub use frame::{FrameBatch, RoundFrame, Sends};
 pub use phase::{PhaseGeometry, PhaseKind, PhasePos};

@@ -1,116 +1,29 @@
-//! Offline shim for `crossbeam::scope`, implemented over
-//! `std::thread::scope`, plus a small fork-join pool ([`par_chunks_mut`])
-//! for the simulation engine's intra-trial link sharding, plus a bounded
-//! MPMC [`channel`] (with [`channel::Select`]) for the serving layer.
+//! Offline shim for the two pieces of `crossbeam` the workspace uses: a
+//! bounded MPMC [`channel`] (with [`channel::Select`]) for the serving
+//! layer, and a persistent fork-join [`WorkerPool`] for the simulation
+//! engine's intra-trial link sharding.
 //!
-//! Matches crossbeam's call shape — `scope(|s| { s.spawn(|_| ...); })`
-//! returning `Err` if any scoped thread panicked — with one restriction:
-//! the argument handed to a spawned closure is an inert [`NestedScope`]
-//! token, so *nested* spawning from inside a worker is not supported (the
-//! workspace never does this; closures take `|_|`).
+//! `WorkerPool` is not a crossbeam API; it lives here because it is the
+//! workspace's one piece of `unsafe` code (a lifetime-erased job pointer
+//! and disjoint chunk slices), and keeping it in the shim leaves every
+//! `crates/*` library `unsafe`-free.
 
 pub mod channel;
 
-use std::any::Any;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread::ScopedJoinHandle;
 
-/// Placeholder for crossbeam's nested-scope argument. Carries no
-/// capabilities; exists only so `s.spawn(|_| ...)` type-checks.
-pub struct NestedScope(());
-
-/// A scope handle that can spawn threads joined before [`scope`] returns.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns a scoped thread. The closure's argument is an inert token
-    /// (see [`NestedScope`]); pass `|_|`.
-    pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-    where
-        F: FnOnce(&NestedScope) -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        self.inner.spawn(move || f(&NestedScope(())))
-    }
-}
-
-/// Runs `f` with a [`Scope`]; all spawned threads are joined before this
-/// returns. Returns `Err` with the panic payload if `f` or any spawned
-/// thread panicked.
-pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn Any + Send + 'static>>
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    catch_unwind(AssertUnwindSafe(move || {
-        std::thread::scope(|s| f(&Scope { inner: s }))
-    }))
-}
-
-/// Shared `*mut T` base pointer for the chunk-claiming workers. Safe to
-/// share because every chunk offset is claimed exactly once (atomic
-/// cursor), so the derived `&mut [T]` slices are pairwise disjoint.
+/// Shared `*mut T` base pointer for [`WorkerPool::run_chunks`]'s
+/// chunk-claiming workers.
 struct SendPtr<T>(*mut T);
 
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-/// Fork-join over `data` in contiguous chunks, work-stealing style:
-/// `threads` scoped workers claim chunks of at least `min_chunk` items
-/// off a shared atomic cursor (dynamic self-scheduling, so a slow chunk
-/// never idles the other workers) and call `f(start_index, chunk)` on
-/// each. Chunks partition `data` in order and are claimed exactly once,
-/// so `f` sees every element exactly once with its original index —
-/// which worker ran it is the only nondeterminism, making the primitive
-/// deterministic for any `f` whose writes stay inside its chunk.
-///
-/// With `threads <= 1` (or fewer items than one chunk) the call degrades
-/// to `f(0, data)` on the caller's thread — the serial fast path.
-///
-/// # Panics
-///
-/// Panics if a worker panics (the panic is propagated).
-pub fn par_chunks_mut<T, F>(data: &mut [T], threads: usize, min_chunk: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let n = data.len();
-    if n == 0 {
-        return;
-    }
-    let chunk = min_chunk.max(n.div_ceil(threads.max(1) * 4)).max(1);
-    let workers = threads.min(n.div_ceil(chunk));
-    if workers <= 1 {
-        f(0, data);
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    let base = SendPtr(data.as_mut_ptr());
-    // Capture the wrapper by reference (not its raw-pointer field, which
-    // 2021-edition disjoint capture would otherwise pull out unwrapped).
-    let base = &base;
-    scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let len = chunk.min(n - start);
-                // SAFETY: `start` values are handed out exactly once per
-                // chunk stride, so [start, start+len) ranges are disjoint
-                // and within bounds; `data` is mutably borrowed for the
-                // whole scope.
-                let part = unsafe { std::slice::from_raw_parts_mut(base.0.add(start), len) };
-                f(start, part);
-            });
-        }
-    })
-    .expect("par_chunks_mut worker panicked");
-}
+// SAFETY: the one field is a base pointer from which workers derive
+// `&mut [T]` chunks on other threads. Every chunk offset is claimed
+// exactly once (atomic cursor), so the slices are pairwise disjoint, and
+// handing a `&mut T` to another thread is sound because `T: Send`.
+unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: as for `Send`: sharing `&SendPtr` only lets a thread derive
+// its own disjoint chunk, never alias another's.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// Type-erased pointer to an in-flight fork-join job. Only dereferenced
 /// by workers between job publication and the owning [`WorkerPool::run`]
@@ -137,8 +50,8 @@ struct PoolShared {
 }
 
 /// A persistent fork-join pool: `threads - 1` long-lived worker threads
-/// plus the caller, sharing [`par_chunks_mut`]-style chunk-claiming
-/// regions without respawning OS threads per region. A simulation run
+/// plus the caller, sharing chunk-claiming regions
+/// ([`WorkerPool::run_chunks`]) without respawning OS threads per region. A simulation run
 /// enters a parallel region twice per iteration; scoped-thread spawning
 /// there costs more than the sharded work saves, which is this pool's
 /// whole reason to exist.
@@ -218,11 +131,14 @@ impl WorkerPool {
         st.job = None;
     }
 
-    /// [`par_chunks_mut`] on this pool's threads: workers claim
+    /// Fork-join over `data` on this pool's threads: workers claim
     /// contiguous chunks of at least `min_chunk` items off an atomic
-    /// cursor and call `f(start_index, chunk)` on each. Same determinism
-    /// contract as the free function; same serial fast path when the pool
-    /// has one thread or the data fits one chunk.
+    /// cursor (dynamic self-scheduling, so a slow chunk never idles the
+    /// others) and call `f(start_index, chunk)` on each. Chunks partition
+    /// `data` in order and are claimed exactly once, so `f` sees every
+    /// element exactly once with its original index; which thread ran it
+    /// is the only nondeterminism. With one thread, or when the data fits
+    /// one chunk, this is `f(0, data)` on the caller.
     pub fn run_chunks<T, F>(&self, data: &mut [T], min_chunk: usize, f: F)
     where
         T: Send,
@@ -297,43 +213,6 @@ fn worker_loop(sh: &PoolShared) {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn spawns_join_before_return() {
-        let hits = AtomicUsize::new(0);
-        super::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|_| hits.fetch_add(1, Ordering::Relaxed));
-            }
-        })
-        .unwrap();
-        assert_eq!(hits.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn panics_surface_as_err() {
-        let r = super::scope(|s| {
-            s.spawn(|_| panic!("boom"));
-        });
-        assert!(r.is_err());
-    }
-
-    #[test]
-    fn par_chunks_mut_visits_every_item_once() {
-        for threads in [1usize, 2, 3, 8] {
-            let mut data: Vec<u64> = vec![0; 257];
-            super::par_chunks_mut(&mut data, threads, 4, |start, chunk| {
-                for (off, x) in chunk.iter_mut().enumerate() {
-                    *x += (start + off) as u64 + 1;
-                }
-            });
-            for (i, x) in data.iter().enumerate() {
-                assert_eq!(*x, i as u64 + 1, "threads {threads} index {i}");
-            }
-        }
-    }
-
     #[test]
     fn worker_pool_runs_many_regions() {
         for threads in [1usize, 2, 3, 8] {
@@ -367,17 +246,5 @@ mod tests {
         let mut one = [1u8];
         pool.run_chunks(&mut one, 1, |_, c| c[0] = 2);
         assert_eq!(one[0], 2);
-    }
-
-    #[test]
-    fn par_chunks_mut_empty_and_serial() {
-        let mut empty: Vec<u8> = Vec::new();
-        super::par_chunks_mut(&mut empty, 4, 1, |_, _| panic!("no items"));
-        let mut one = [7u8];
-        super::par_chunks_mut(&mut one, 4, 16, |start, chunk| {
-            assert_eq!(start, 0);
-            chunk[0] = 9;
-        });
-        assert_eq!(one[0], 9);
     }
 }

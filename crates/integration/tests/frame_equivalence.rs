@@ -1,22 +1,16 @@
-//! Frame/map equivalence: the dense `RoundFrame` wire and the legacy
-//! `BTreeMap` wire are interchangeable representations.
+//! Frame/map equivalence: the dense `RoundFrame` and a plain
+//! `BTreeMap<DirectedLink, bool>` send pattern describe the same round.
 //!
-//! Three layers of evidence:
-//! * property tests that `RoundFrame ↔ Wire` round-trips are lossless on
-//!   arbitrary topologies and send patterns;
-//! * the engine delivers identically through `step` (map path) and
-//!   `step_into` (frame path) under identical adversaries;
-//! * a full simulation (TokenRing, Gossip under `IidNoise`) produces
-//!   byte-identical `SimOutcome` stats whether the adversary sees the
-//!   frames directly or through a per-round wire round-trip.
+//! The map is filled independently of the frame's bit layout, so the
+//! property checks that `iter_set` — on the frame itself and on both
+//! `Sends` views an adversary reads — yields exactly the map's entries,
+//! in ascending `LinkId` order, on arbitrary topologies.
 
-use mpic::{RunOptions, SchemeConfig, Simulation};
-use netgraph::{topology, Graph};
-use netsim::attacks::IidNoise;
-use netsim::{AdaptiveView, Adversary, Corruption, Network, RoundFrame, Wire};
+use std::collections::BTreeMap;
+
+use netgraph::{topology, DirectedLink, Graph};
+use netsim::{FrameBatch, RoundFrame, Sends};
 use proptest::prelude::*;
-use protocol::workloads::{Gossip, TokenRing};
-use protocol::Workload;
 use smallbias::Xoshiro256;
 
 fn pick_topology(which: usize, seed: u64) -> Graph {
@@ -30,179 +24,51 @@ fn pick_topology(which: usize, seed: u64) -> Graph {
 }
 
 /// A random send pattern: each directed link is silent, 0, or 1.
-fn random_wire(g: &Graph, rng: &mut Xoshiro256) -> Wire {
-    let mut w = Wire::new();
+fn random_sends(g: &Graph, rng: &mut Xoshiro256) -> BTreeMap<DirectedLink, bool> {
+    let mut sends = BTreeMap::new();
     for link in g.directed_links() {
         match rng.next_u64() % 3 {
             0 => {}
             1 => {
-                w.insert(link, false);
+                sends.insert(link, false);
             }
             _ => {
-                w.insert(link, true);
+                sends.insert(link, true);
             }
         }
     }
-    w
+    sends
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Wire → frame → wire is the identity, and the frame agrees with the
-    /// map link by link.
-    #[test]
-    fn wire_frame_roundtrip_is_lossless(which in 0usize..5, seed in 0u64..10_000) {
-        let g = pick_topology(which, seed);
-        let mut rng = Xoshiro256::seeded(seed ^ 0xF0A3);
-        let wire = random_wire(&g, &mut rng);
-        let frame = RoundFrame::from_wire(&g, &wire);
-        prop_assert_eq!(frame.count_set(), wire.len());
-        prop_assert_eq!(frame.to_wire(&g), wire.clone());
-        // Link-by-link agreement, including silent links.
-        for link in g.directed_links() {
-            let id = g.link_id(link).unwrap();
-            prop_assert_eq!(frame.get(id), wire.get(&link).copied());
-        }
-        // Frame → wire → frame is the identity too.
-        let back = RoundFrame::from_wire(&g, &frame.to_wire(&g));
-        prop_assert_eq!(back, frame);
-    }
-
-    /// `iter_set` enumerates exactly the map's entries, in LinkId order.
+    /// `iter_set` enumerates exactly the map's entries, in LinkId order,
+    /// whether read from the frame or through a `Sends` view.
     #[test]
     fn iter_set_matches_map(which in 0usize..5, seed in 0u64..10_000) {
         let g = pick_topology(which, seed);
         let mut rng = Xoshiro256::seeded(seed ^ 0x17E2);
-        let wire = random_wire(&g, &mut rng);
-        let frame = RoundFrame::from_wire(&g, &wire);
+        let sends = random_sends(&g, &mut rng);
+        let mut frame = RoundFrame::for_graph(&g);
+        for (&link, &bit) in &sends {
+            frame.set(g.link_id(link).unwrap(), bit);
+        }
+        let mut batch = FrameBatch::for_graph(&g, 3);
+        batch.set_round(1, &frame);
+
         let mut prev = None;
         let mut seen = 0usize;
         for (id, bit) in frame.iter_set() {
             prop_assert!(prev < Some(id), "iter_set out of order");
             prev = Some(id);
-            prop_assert_eq!(wire.get(&g.link(id)).copied(), Some(bit));
+            prop_assert_eq!(sends.get(&g.link(id)).copied(), Some(bit));
             seen += 1;
         }
-        prop_assert_eq!(seen, wire.len());
-    }
+        prop_assert_eq!(seen, sends.len());
 
-    /// The engine's legacy map path and frame path deliver identically
-    /// under identical adversaries, round after round.
-    #[test]
-    fn step_and_step_into_agree(which in 0usize..5, seed in 0u64..10_000) {
-        let g = pick_topology(which, seed);
-        let mut map_net = Network::new(g.clone(), Box::new(IidNoise::new(&g, 0.05, seed)), 40);
-        let mut frame_net = Network::new(g.clone(), Box::new(IidNoise::new(&g, 0.05, seed)), 40);
-        let mut rng = Xoshiro256::seeded(seed ^ 0x5EED);
-        let mut tx = RoundFrame::for_graph(&g);
-        let mut rx = RoundFrame::for_graph(&g);
-        for _ in 0..30 {
-            let wire = random_wire(&g, &mut rng);
-            let got_map = map_net.step(&wire, None);
-            tx.copy_from(&RoundFrame::from_wire(&g, &wire));
-            frame_net.step_into(&tx, None, &mut rx);
-            prop_assert_eq!(&got_map, &rx.to_wire(&g));
-        }
-        prop_assert_eq!(map_net.stats(), frame_net.stats());
-        prop_assert_eq!(map_net.remaining_budget(), frame_net.remaining_budget());
-    }
-}
-
-/// An adversary wrapper that round-trips every round's sends through the
-/// legacy map form before consulting the inner adversary — any
-/// representation mismatch shows up as a per-round panic or as diverging
-/// outcomes.
-struct WireRoundTrip<A> {
-    inner: A,
-    graph: Graph,
-}
-
-impl<A: Adversary> Adversary for WireRoundTrip<A> {
-    fn corrupt(
-        &mut self,
-        round: u64,
-        sends: &RoundFrame,
-        remaining_budget: u64,
-        view: Option<&dyn AdaptiveView>,
-    ) -> Vec<Corruption> {
-        let wire = sends.to_wire(&self.graph);
-        let back = RoundFrame::from_wire(&self.graph, &wire);
-        assert_eq!(&back, sends, "wire round-trip lost information");
-        self.inner.corrupt(round, &back, remaining_budget, view)
-    }
-
-    fn is_oblivious(&self) -> bool {
-        self.inner.is_oblivious()
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-}
-
-fn assert_outcomes_identical(a: &mpic::SimOutcome, b: &mpic::SimOutcome) {
-    assert_eq!(a.stats, b.stats, "NetStats diverged between paths");
-    assert_eq!(a.success, b.success);
-    assert_eq!(a.transcripts_ok, b.transcripts_ok);
-    assert_eq!(a.outputs_ok, b.outputs_ok);
-    assert_eq!(a.payload_cc, b.payload_cc);
-    assert_eq!(a.padded_cc, b.padded_cc);
-    assert_eq!(a.blowup.to_bits(), b.blowup.to_bits());
-    assert_eq!(a.iterations, b.iterations);
-    assert_eq!(a.g_star, b.g_star);
-    assert_eq!(a.b_star, b.b_star);
-    assert_eq!(
-        a.instrumentation.hash_collisions,
-        b.instrumentation.hash_collisions
-    );
-}
-
-/// Full simulation equivalence: a TokenRing run under `IidNoise` is
-/// byte-identical whether every round passes through the map form or not.
-#[test]
-fn full_token_ring_sim_identical_through_both_paths() {
-    let w = TokenRing::new(4, 3, 31);
-    let cfg = SchemeConfig::algorithm_a(w.graph(), 5);
-    let sim = Simulation::new(&w, cfg, 8);
-    for seed in 0..3 {
-        let direct = sim.run(
-            Box::new(IidNoise::new(w.graph(), 0.002, seed)),
-            RunOptions::default(),
-        );
-        let roundtrip = sim.run(
-            Box::new(WireRoundTrip {
-                inner: IidNoise::new(w.graph(), 0.002, seed),
-                graph: w.graph().clone(),
-            }),
-            RunOptions::default(),
-        );
-        assert_outcomes_identical(&direct, &roundtrip);
-    }
-}
-
-/// Same for Gossip on a ring (fully-utilized rounds: the densest frames).
-#[test]
-fn full_gossip_sim_identical_through_both_paths() {
-    let w = Gossip::new(topology::ring(5), 6, 13);
-    let cfg = SchemeConfig::algorithm_a(w.graph(), 9);
-    let sim = Simulation::new(&w, cfg, 21);
-    for seed in 0..3 {
-        let direct = sim.run(
-            Box::new(IidNoise::new(w.graph(), 0.001, seed)),
-            RunOptions::default(),
-        );
-        let roundtrip = sim.run(
-            Box::new(WireRoundTrip {
-                inner: IidNoise::new(w.graph(), 0.001, seed),
-                graph: w.graph().clone(),
-            }),
-            RunOptions::default(),
-        );
-        assert_outcomes_identical(&direct, &roundtrip);
-        assert!(
-            direct.success,
-            "light noise should be repaired (seed {seed})"
-        );
+        let direct: Vec<_> = frame.iter_set().collect();
+        prop_assert_eq!(&Sends::Frame(&frame).iter_set().collect::<Vec<_>>(), &direct);
+        prop_assert_eq!(&Sends::Batch(&batch, 1).iter_set().collect::<Vec<_>>(), &direct);
     }
 }
